@@ -130,12 +130,6 @@ pub struct CampaignConfig {
     /// identical either way (execution is deterministic); this is a
     /// pure wall-clock optimization, on by default.
     pub share_prefixes: bool,
-    /// Advance checkpoint bases on the `elzar_sim` discrete-event core
-    /// (the default): each fault-free round is a scheduled wake-up at
-    /// the base machine's cycle count. `false` runs the legacy
-    /// hand-rolled while-loop — kept for one PR so the old-vs-new
-    /// equality test can pin both paths outcome-identical.
-    pub event_core: bool,
 }
 
 impl Default for CampaignConfig {
@@ -147,7 +141,6 @@ impl Default for CampaignConfig {
             hang_factor: 20,
             machine: MachineConfig::default(),
             share_prefixes: true,
-            event_core: true,
         }
     }
 }
@@ -530,7 +523,7 @@ pub fn run_plans(
                                 mc.fault = None;
                                 Machine::start(prog, "main", input, mc)
                             });
-                            inject_from_checkpoint(m, golden, index, bit, cfg.hang_factor, cfg.event_core)
+                            inject_from_checkpoint(m, golden, index, bit, cfg.hang_factor)
                         } else {
                             inject_once(prog, input, golden, index, bit, &cfg.machine, cfg.hang_factor)
                         };
@@ -562,24 +555,13 @@ fn inject_from_checkpoint(
     index: u64,
     bit: u32,
     hang_factor: u64,
-    event_core: bool,
 ) -> Outcome {
-    if event_core {
-        // The event core: each fault-free round is a wake-up at the
-        // base machine's current cycle count; the component goes
-        // quiescent once the next round could reach the injection
-        // point. Round-for-round identical to the legacy loop below
-        // (pinned by `checkpoint_advancement_is_core_invariant`).
-        let mut sched = elzar_sim::Scheduler::new(elzar_sim::TieBreak::Canonical);
-        sched.add(CheckpointAdvance { base: &mut *base, target: index });
-        sched.run(&mut ());
-    } else {
-        while base.eligible_so_far() + base.eligible_round_bound() < index {
-            if base.run_round().is_some() {
-                unreachable!("base finished with eligible < plan index <= golden.eligible");
-            }
-        }
-    }
+    // Each fault-free round is a wake-up at the base machine's current
+    // cycle count; the component goes quiescent once the next round
+    // could reach the injection point.
+    let mut sched = elzar_sim::Scheduler::new(elzar_sim::TieBreak::Canonical);
+    sched.add(CheckpointAdvance { base: &mut *base, target: index });
+    sched.run(&mut ());
     debug_assert!(base.eligible_so_far() < index);
     inject_one(base.clone(), golden, index, bit, hang_factor).0
 }
@@ -681,27 +663,27 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// Old-vs-new checkpoint advancement: the legacy while-loop and
-    /// the `elzar_sim` scheduled component must advance base machines
-    /// identically, so campaign outcomes are bit-identical across the
-    /// two cores (and across prefix sharing, which exercises both the
-    /// checkpoint and the from-scratch paths).
+    /// Checkpoint advancement on the `elzar_sim` component must reach
+    /// exactly the pre-injection state a from-scratch run reaches:
+    /// campaign results are bit-identical with and without prefix
+    /// sharing (which routes every plan through the checkpoint path or
+    /// through a fresh machine, respectively).
     #[test]
     fn checkpoint_advancement_is_core_invariant() {
         let prog = build(&kernel(), &Mode::elzar_default());
-        let run = |event_core: bool, share_prefixes: bool| {
+        let run = |share_prefixes: bool| {
             run_campaign(
                 &prog,
                 &[],
-                &CampaignConfig { runs: 40, seed: 11, event_core, share_prefixes, ..Default::default() },
+                &CampaignConfig { runs: 40, seed: 11, share_prefixes, ..Default::default() },
             )
         };
-        let new = run(true, true);
-        let old = run(false, true);
-        assert_eq!(new.counts, old.counts, "event-core checkpoint advancement changed outcomes");
-        assert_eq!((new.eligible, new.golden_cycles), (old.eligible, old.golden_cycles));
-        let scratch = run(true, false);
-        assert_eq!(new.counts, scratch.counts, "prefix sharing changed outcomes");
+        let shared = run(true);
+        let scratch = run(false);
+        assert_eq!(shared.counts, scratch.counts, "prefix sharing changed outcomes");
+        assert_eq!(shared.eligible, scratch.eligible);
+        assert_eq!(shared.golden_cycles, scratch.golden_cycles);
+        assert_eq!(shared.total(), 40);
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub(crate) fn decide(backlogs: &[(u32, usize)], up_at: usize, down_at: usize, sh
 // Predictive scaling
 // ---------------------------------------------------------------------------
 
-/// Which scaling policy `serve_adaptive` runs.
+/// Which scaling policy the elastic serving path runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ScalingPolicy {
     /// Queue-occupancy hysteresis only (the PR 5 controller): react to
@@ -327,17 +327,16 @@ pub(crate) fn adjust_predictive(
 
 /// The controller's epoch/forecast cadence as a scheduled component on
 /// the `elzar_sim` event core: one wake-up per controller epoch, at the
-/// epoch's last arrival — the same instant the legacy chunk loop reads
-/// backlogs and decides. The tick body itself lives with the elastic
-/// driver (`serve_adaptive_events`); this type owns only the cadence:
-/// *when* the controller runs.
+/// epoch's last arrival, where the controller reads backlogs and
+/// decides. The tick body itself lives with the elastic driver
+/// (`serve_adaptive_events`); this type owns only the cadence: *when*
+/// the controller runs.
 ///
 /// A decision instant can collide with request arrivals and snapshot
-/// instants on the same cycle; the `(cycle, track, seq)` tie order
-/// commits shard work first (shard tracks register below the cadence
-/// track inside an epoch's inner scheduler) and the controller's
-/// decision last — exactly the legacy ordering, which is why the trace
-/// byte stream is invariant across worker counts and both cores.
+/// instants on the same cycle. The epoch's shard drains always commit
+/// first — the tick drains them to quiescence before it decides — and
+/// the controller's decision last, which is why the trace byte stream
+/// is invariant across worker counts and tie-break seeds.
 pub(crate) struct EpochCadence {
     /// Index of the next epoch to run (== ticks delivered so far).
     pub next_epoch: usize,

@@ -46,9 +46,13 @@
 //!    [`ServeConfig::divergence_check_interval`] runs a state-digest
 //!    divergence detector beside ELZAR's own classification
 //!    ([`ServeReport::divergence_agreement`]);
-//! 8. shards drain on their own OS threads — workers pull shard ids
-//!    from a shared counter, so any worker count yields bit-identical
-//!    results;
+//! 8. every drain phase (the whole static stream, or one controller
+//!    epoch) splits the active shards across `min(workers, active)` OS
+//!    threads, balanced by routed-request count, each running its own
+//!    `elzar_sim` scheduler over its shards; shards share no state
+//!    inside a phase and commits merge back in shard-id order, so any
+//!    worker count yields bit-identical results
+//!    ([`ServeReport::host_workers`] records the fan-out);
 //! 9. an online fault-injection schedule flips destination-register
 //!    bits mid-service and classifies every hit per Table I
 //!    (Masked / ElzarCorrected / Sdc / Crashed-with-restart-from-
@@ -62,10 +66,11 @@
 //! Determinism contract: everything in the report — outcome counts,
 //! latency histogram, digests, cycle totals, scaling events — is a pure
 //! function of `(program, service, scale, ServeConfig)`. Worker count
-//! only changes wall-clock time; shard count, batch policy, snapshot
-//! interval and the scaling schedule change latency/throughput (that is
-//! the point) but never fault outcome counts or the table digest,
-//! because the fault schedule keys on global request ids,
+//! only changes wall-clock time (and [`ServeReport::host_workers`],
+//! which says how many threads it bought); shard count, batch policy,
+//! snapshot interval and the scaling schedule change latency/throughput
+//! (that is the point) but never fault outcome counts or the table
+//! digest, because the fault schedule keys on global request ids,
 //! fault-scheduled requests always execute through the single-request
 //! entry, each shard commits only reference executions, and migration
 //! replays exactly the committed per-key sequences (see [`shard`] and
@@ -111,9 +116,7 @@ use elzar_sim::{Component, Scheduler, TieBreak};
 use elzar_vm::{MachineConfig, Program};
 use gen::{shard_of, Request};
 use histogram::LatencyHistogram;
-use shard::{drain_shard, ShardDrain, ShardOutput, ShardRuntime, ShardStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use shard::{ShardDrain, ShardOutput, ShardRuntime, ShardStats};
 
 /// Serving-runtime parameters.
 #[derive(Clone, Debug)]
@@ -253,21 +256,13 @@ pub struct ServeConfig {
     pub restart_cycles: u64,
     /// Hang budget multiple for faulty executions (see `elzar_fault`).
     pub hang_factor: u64,
-    /// Drive serving on the `elzar_sim` discrete-event core (the
-    /// default): shard drains and the controller's epoch/forecast
-    /// cadence are scheduled wake-ups on one `(cycle, track, seq)`
-    /// heap. `false` runs the legacy hand-rolled time loops — kept for
-    /// one PR so the old-vs-new differential suite can pin both paths
-    /// bit-identical (outcome counts, KV digest, latency quantiles,
-    /// ledger conservation, canonical trace bytes).
-    pub event_core: bool,
-    /// Seed for same-cycle event-order fuzzing on the event core: `0`
-    /// (the default) commits ties in canonical `(cycle, track, seq)`
-    /// order; any other value permutes each same-cycle ready set under
-    /// that `elzar_rng` seed. Shards share no state, so every seed must
-    /// produce a bit-identical report — a divergence is an
-    /// order-dependence bug (the hunt the fuzz suite runs). Ignored on
-    /// the legacy paths.
+    /// Seed for same-cycle event-order fuzzing on the drain
+    /// schedulers: `0` (the default) commits ties in canonical
+    /// `(cycle, track, seq)` order; any other value permutes each
+    /// same-cycle ready set under that `elzar_rng` seed. Shards share
+    /// no state, so every seed must produce a bit-identical report — a
+    /// divergence is an order-dependence bug (the hunt the fuzz suite
+    /// runs).
     pub order_fuzz: u64,
     /// Base machine configuration for shard VMs.
     pub machine: MachineConfig,
@@ -308,7 +303,6 @@ impl Default for ServeConfig {
             // (usage-proportional, a few MB): ~25 us at 2 GHz.
             restart_cycles: 50_000,
             hang_factor: 20,
-            event_core: true,
             order_fuzz: 0,
             machine: MachineConfig { step_limit: 10_000_000_000, ..MachineConfig::default() },
         }
@@ -464,6 +458,14 @@ pub struct ServeReport {
     pub peak_shards: u32,
     /// Active shards when the stream ended.
     pub final_shards: u32,
+    /// The most host threads any drain phase used:
+    /// `min(workers, active shards)`, maximised over the static drain
+    /// or every controller epoch — a pure function of the config and
+    /// the scaling schedule. The one field that differs across worker
+    /// counts; invariance suites assert it exceeds 1 on their
+    /// multi-worker side, so they cannot silently compare a
+    /// single-threaded run with itself.
+    pub host_workers: u32,
     /// The controller's scaling schedule, in event order (empty for
     /// static runs).
     pub events: Vec<ScaleEvent>,
@@ -666,6 +668,7 @@ impl ServeReport {
             div_flagged: [0; 5],
             peak_shards: 0,
             final_shards: 0,
+            host_workers: 0,
             events: Vec::new(),
             trace: Trace::default(),
             makespan_cycles: 0,
@@ -740,18 +743,18 @@ pub fn serve_scenario(
 /// path routes by key hash up front and drains every shard to
 /// completion; with [`ServeConfig::adaptive_shards`] the elastic path
 /// runs the stream in controller epochs, scaling the shard set against
-/// queue depth. Either way workers pull work from a shared counter and
-/// results merge in shard-id order.
+/// queue depth. Either way each drain phase fans the shards out over
+/// [`ServeConfig::workers`] threads and results merge in shard-id
+/// order.
 pub fn serve_stream(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
-    match (cfg.adaptive_shards, cfg.event_core) {
-        (true, true) => serve_adaptive_events(prog, app, stream, cfg),
-        (true, false) => serve_adaptive(prog, app, stream, cfg),
-        (false, true) => serve_static_events(prog, app, stream, cfg),
-        (false, false) => serve_static(prog, app, stream, cfg),
+    if cfg.adaptive_shards {
+        serve_adaptive_events(prog, app, stream, cfg)
+    } else {
+        serve_static_events(prog, app, stream, cfg)
     }
 }
 
-/// Tie-break rule the event-core schedulers run under:
+/// Tie-break rule the drain schedulers run under:
 /// [`ServeConfig::order_fuzz`] `== 0` is the canonical
 /// `(cycle, track, seq)` order, anything else a seeded permutation of
 /// every same-cycle ready set.
@@ -763,55 +766,87 @@ fn tie_break(cfg: &ServeConfig) -> TieBreak {
     }
 }
 
-fn serve_static(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
-    let shards = cfg.shards.max(1);
-    let mut routed: Vec<Vec<&Request>> = (0..shards).map(|_| Vec::new()).collect();
-    for r in stream {
-        routed[shard_of(r.key, shards) as usize].push(r);
+/// Run one thread's share of a drain phase: its `(shard, routed
+/// requests)` pairs, in shard-id order, to quiescence on one
+/// [`Scheduler`] of [`ShardDrain`]s under [`tie_break`]. Returns each
+/// shard's commits in commit order.
+fn drain_set<'a>(
+    pairs: Vec<(&mut ShardRuntime<'_, 'a>, &[&'a Request])>,
+    app: &ServeApp,
+    cfg: &ServeConfig,
+) -> Vec<Vec<&'a Request>> {
+    let mut sched = Scheduler::new(tie_break(cfg));
+    for (rt, reqs) in pairs {
+        sched.add(ShardDrain::new(rt, reqs, app, cfg));
     }
-
-    let workers = (cfg.workers.max(1) as usize).min(shards as usize);
-    let next = AtomicUsize::new(0);
-    let tagged: Vec<(usize, ShardOutput)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let routed = &routed;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= routed.len() {
-                            return local;
-                        }
-                        let out = drain_shard(prog, app, s as u32, shards, &routed[s], cfg);
-                        local.push((s, out));
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
-    });
-    let mut outputs: Vec<Option<ShardOutput>> = (0..shards).map(|_| None).collect();
-    for (s, o) in tagged {
-        outputs[s] = Some(o);
-    }
-    let mut report =
-        merge_outputs(outputs.into_iter().map(|o| o.expect("every shard drained")).collect(), Tracer::off());
-    report.peak_shards = shards;
-    report.final_shards = shards;
-    report
+    sched.run(&mut ());
+    sched.into_components().into_iter().map(|d| d.committed).collect()
 }
 
-/// The static path on the `elzar_sim` event core: the same routing and
-/// the same per-shard drain sequence as [`serve_static`], but instead
-/// of each worker thread running a shard's hand-rolled `feed` loop to
-/// completion, every shard is a [`ShardDrain`] component and one
-/// discrete-event scheduler interleaves their drains in virtual-time
-/// order on the `(cycle, track, seq)` heap. Shards share no state, so
-/// the interleaving — canonical or fuzzed — cannot change any result:
-/// old-vs-new is bit-identical by construction (and pinned by the
-/// differential suite).
+/// Fan one drain phase out over host threads: deal `shards` (given in
+/// shard-id order, each weighing `load` routed requests) across
+/// `min(workers, shards)` scoped threads, run `work` on each thread's
+/// share (in shard-id order), and return the per-shard results in
+/// shard-id order with the number of threads used.
+///
+/// The deal balances load: largest shard first, each to the
+/// least-loaded thread (ties to the lower shard id and thread), so a
+/// hot shard does not leave a thread idle the way a plain round-robin
+/// does under skewed key routing. The caller runs the first share
+/// itself and spawns a thread per further share; a panic on any of
+/// them (a virtual-time overflow, say) reaches the caller with its
+/// original payload.
+///
+/// The split is order-safe because shards share no state inside a
+/// drain phase (a [`ShardDrain`] is a `Component<()>`): a tie-break
+/// only orders shards within one thread's [`drain_set`], and no shard
+/// can observe another. Every shard's stats, ledger and trace ring are
+/// its own and merge canonically afterwards, and callers append
+/// commits to the global log in shard-id order — so the report is
+/// bit-identical for every worker count and every fuzz seed.
+fn fan_out<T: Send, R: Send>(
+    shards: Vec<T>,
+    load: impl Fn(&T) -> usize,
+    workers: u32,
+    work: impl Fn(Vec<T>) -> Vec<R> + Sync,
+) -> (Vec<R>, u32) {
+    let n = shards.len();
+    let threads = (workers.max(1) as usize).min(n).max(1);
+    let mut by_load: Vec<usize> = (0..n).collect();
+    by_load.sort_by_key(|&k| std::cmp::Reverse(load(&shards[k])));
+    let (mut weight, mut owner) = (vec![0usize; threads], vec![0usize; n]);
+    for k in by_load {
+        let t = (0..threads).min_by_key(|&t| weight[t]).expect("at least one thread");
+        owner[k] = t;
+        weight[t] += load(&shards[k]);
+    }
+    let mut sets: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
+    for (k, shard) in shards.into_iter().enumerate() {
+        sets[owner[k]].push(shard);
+    }
+    // The caller works the first share itself, so a one-thread phase
+    // spawns nothing and a two-thread phase spawns one.
+    let work = &work;
+    let done: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let mut sets = sets.into_iter();
+        let first = sets.next().expect("at least one thread");
+        let spawned: Vec<_> = sets.map(|set| scope.spawn(move || work(set))).collect();
+        std::iter::once(work(first))
+            .chain(spawned.into_iter().map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))))
+            .collect()
+    });
+    // Undo the deal: each thread returns its shards in shard-id order.
+    let mut per_thread: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
+    let results = (0..n).map(|k| per_thread[owner[k]].next().expect("every shard processed")).collect();
+    (results, threads as u32)
+}
+
+/// The static path: route the whole stream by key hash, then boot,
+/// drain and finish every shard in one [`fan_out`]. Each shard lives
+/// its whole life on one host thread, so its machines are allocated
+/// and freed by the same thread (the allocator keeps per-thread
+/// arenas; a shard booted on the caller and cloned on a worker would
+/// strand its freed snapshots in the caller's arena).
 fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
     let shards = cfg.shards.max(1);
     let mut routed: Vec<Vec<&Request>> = (0..shards).map(|_| Vec::new()).collect();
@@ -819,286 +854,34 @@ fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: 
         routed[shard_of(r.key, shards) as usize].push(r);
     }
 
-    let mut runtimes: Vec<ShardRuntime> =
-        (0..shards).map(|id| ShardRuntime::boot(prog, app, cfg, id)).collect();
-    {
-        let mut sched = Scheduler::new(tie_break(cfg));
-        for (rt, reqs) in runtimes.iter_mut().zip(&routed) {
-            sched.add(ShardDrain::new(rt, reqs, app, cfg));
-        }
-        sched.run(&mut ());
-    }
-    let outputs: Vec<ShardOutput> = runtimes
-        .into_iter()
-        .enumerate()
-        .map(|(s, rt)| rt.into_output(app, &|key| shard_of(key, shards) == s as u32))
-        .collect();
+    let (outputs, host_workers) = fan_out(
+        (0..shards).collect(),
+        |&s| routed[s as usize].len(),
+        cfg.workers,
+        |set: Vec<u32>| {
+            let mut runtimes: Vec<ShardRuntime> =
+                set.iter().map(|&s| ShardRuntime::boot(prog, app, cfg, s)).collect();
+            let pairs =
+                runtimes.iter_mut().zip(&set).map(|(rt, &s)| (rt, routed[s as usize].as_slice())).collect();
+            drain_set(pairs, app, cfg);
+            runtimes
+                .into_iter()
+                .zip(set)
+                .map(|(rt, s)| rt.into_output(app, &|key| shard_of(key, shards) == s))
+                .collect()
+        },
+    );
     let mut report = merge_outputs(outputs, Tracer::off());
     report.peak_shards = shards;
     report.final_shards = shards;
+    report.host_workers = host_workers;
     report
 }
 
-/// The elastic serving path: run the stream in controller epochs of
-/// [`ServeConfig::control_interval`] requests. Within an epoch the
-/// shard set is fixed, so shards drain in parallel exactly like the
-/// static path; at each epoch boundary the controller reads every
-/// active shard's queue occupancy at the epoch's last arrival and
-/// applies one [`Decision`] — all in virtual time, so the scaling
-/// schedule is deterministic and worker-count invariant.
-fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
-    let start_shards = cfg.shards.clamp(1, cfg.shards_max.max(1));
-    let mut partition = Partition::initial(start_shards);
-    // Runtimes indexed by shard id; retired shards become `None` after
-    // their stats are banked.
-    let mut runtimes: Vec<Mutex<Option<ShardRuntime>>> =
-        (0..start_shards).map(|id| Mutex::new(Some(ShardRuntime::boot(prog, app, cfg, id)))).collect();
-    let mut active: Vec<u32> = (0..start_shards).collect();
-    let mut banked: Vec<Option<ShardOutput>> = (0..start_shards).map(|_| None).collect();
-    // Global committed log per partition slot, in commit order — only
-    // one shard owns a slot per epoch, so appends never interleave.
-    let mut log: Vec<Vec<&Request>> = (0..PARTITION_SLOTS).map(|_| Vec::new()).collect();
-    // Compaction offset: `log[s]` holds the committed entries of slot
-    // `s` from absolute index `base[s]` onward (all zero until a
-    // compaction pass truncates).
-    let mut base = [0u32; PARTITION_SLOTS as usize];
-    let mut compactions = 0u64;
-    let mut compacted_entries = 0u64;
-    let mut max_slot_log = 0u64;
-    let mut events: Vec<ScaleEvent> = Vec::new();
-    let mut peak = start_shards;
-    // The controller's own track: scaling decisions and compaction
-    // epochs happen between shard drains, single-threaded, so this
-    // ring sees the same sequence regardless of worker count.
-    let mut driver = Tracer::new(DRIVER_TRACK, cfg.trace_events);
-    // Predictive policy state: Holt smoothing over each epoch's
-    // admitted-arrival rate. The rate is `chunk len / arrival span` —
-    // a property of the stream alone, so the forecast (and therefore
-    // the scaling schedule) is identical across worker counts and
-    // batch policies.
-    let mut forecaster = Forecaster::default();
-    let mut prev_t_end = 0u64;
-
-    let interval = cfg.control_interval.max(1) as usize;
-    for (epoch, chunk) in stream.chunks(interval).enumerate() {
-        // Route this epoch under the current assignment.
-        let mut routed: Vec<Vec<&Request>> = (0..runtimes.len()).map(|_| Vec::new()).collect();
-        for r in chunk {
-            routed[partition.owner_of(r.key) as usize].push(r);
-        }
-
-        // Parallel drain of the active shards (workers pull indices
-        // into the active list from a shared counter).
-        let workers = (cfg.workers.max(1) as usize).min(active.len());
-        let next = AtomicUsize::new(0);
-        let committed: Vec<(u32, Vec<&Request>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let active = &active;
-                    let routed = &routed;
-                    let runtimes = &runtimes;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= active.len() {
-                                return local;
-                            }
-                            let id = active[k];
-                            let mut guard = runtimes[id as usize].lock().expect("shard lock");
-                            let rt = guard.as_mut().expect("active shard has a runtime");
-                            local.push((id, rt.feed(&routed[id as usize], app, cfg)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        // Append commits to the per-slot logs in shard-id order (per
-        // slot there is a single committing shard, so any order would
-        // do — id order just makes the loop deterministic to read).
-        let mut committed = committed;
-        committed.sort_by_key(|&(id, _)| id);
-        for (_, reqs) in &committed {
-            for r in reqs {
-                log[controller::slot_of(r.key) as usize].push(r);
-            }
-        }
-
-        // Controller: read queue occupancy at the epoch's last arrival
-        // and apply at most one scaling decision.
-        let t_end = chunk.last().expect("chunks are non-empty").arrival;
-        let backlogs: Vec<(u32, usize)> = active
-            .iter()
-            .map(|&id| {
-                let guard = runtimes[id as usize].lock().expect("shard lock");
-                (id, guard.as_ref().expect("active shard has a runtime").backlog_at(t_end))
-            })
-            .collect();
-        let mut decision =
-            decide(&backlogs, cfg.scale_up_backlog as usize, cfg.scale_down_backlog as usize, cfg.shards_max);
-        if cfg.scaling_policy == ScalingPolicy::Predictive {
-            let span = (t_end - prev_t_end).max(1);
-            forecaster.observe((chunk.len() as u64).saturating_mul(RATE_FP) / span);
-            let fc = forecaster.forecast_ahead(controller::FORECAST_HORIZON);
-            let lvl = forecaster.level();
-            driver.record(EventKind::Forecast, t_end, 0, fc, lvl);
-            decision = adjust_predictive(decision, fc, lvl, &backlogs, cfg.shards_max);
-        }
-        prev_t_end = t_end;
-        match decision {
-            Decision::Up { donor } => {
-                let taken = controller::split_upper_half(partition.slots_of(donor));
-                if taken != 0 {
-                    let joiner = runtimes.len() as u32;
-                    let rt = {
-                        let guard = runtimes[donor as usize].lock().expect("shard lock");
-                        let d = guard.as_ref().expect("donor is active");
-                        ShardRuntime::boot_from_donor(d, app, cfg, joiner, taken, t_end)
-                    };
-                    events.push(ScaleEvent::Up {
-                        epoch: epoch as u32,
-                        donor,
-                        joiner,
-                        slots: taken.count_ones(),
-                        replayed: rt.stats.migration_replays,
-                    });
-                    driver.record(EventKind::ScaleUp, t_end, 0, u64::from(donor), u64::from(joiner));
-                    debug::emit("serve", || {
-                        format!(
-                            "epoch {epoch}: scale-up donor={donor} joiner={joiner} slots={}",
-                            taken.count_ones()
-                        )
-                    });
-                    runtimes.push(Mutex::new(Some(rt)));
-                    banked.push(None);
-                    partition.assign(taken, joiner);
-                    active.push(joiner);
-                    peak = peak.max(active.len() as u32);
-                }
-            }
-            Decision::Down { leaver, recipient } => {
-                let taken = partition.slots_of(leaver);
-                let replayed_before;
-                {
-                    let mut guard = runtimes[recipient as usize].lock().expect("shard lock");
-                    let rt = guard.as_mut().expect("recipient is active");
-                    replayed_before = rt.stats.migration_replays;
-                    rt.absorb(taken, &log, &base, app, cfg);
-                    events.push(ScaleEvent::Down {
-                        epoch: epoch as u32,
-                        leaver,
-                        recipient,
-                        slots: taken.count_ones(),
-                        replayed: rt.stats.migration_replays - replayed_before,
-                    });
-                }
-                driver.record(EventKind::ScaleDown, t_end, 0, u64::from(leaver), u64::from(recipient));
-                debug::emit("serve", || {
-                    format!(
-                        "epoch {epoch}: scale-down leaver={leaver} recipient={recipient} slots={}",
-                        taken.count_ones()
-                    )
-                });
-                partition.assign(taken, recipient);
-                let mut rt =
-                    runtimes[leaver as usize].lock().expect("shard lock").take().expect("leaver is active");
-                rt.stats.retired_at = t_end;
-                banked[leaver as usize] = Some(rt.into_output(app, &|_| false));
-                active.retain(|&id| id != leaver);
-            }
-            Decision::Hold => {}
-        }
-
-        // Compaction pass: bring every active shard up to the full
-        // committed log (background catch-up replay), then truncate
-        // each slot at the fleet-minimum snapshot mark — entries below
-        // it can never be replayed again (recovery, twins and
-        // migrations all start from a snapshot at or past the mark).
-        if cfg.compaction {
-            for &id in &active {
-                let mut guard = runtimes[id as usize].lock().expect("shard lock");
-                guard.as_mut().expect("active shard has a runtime").catch_up(&log, &base, app, cfg);
-            }
-            let removed_before = compacted_entries;
-            for (s, slot_log) in log.iter_mut().enumerate() {
-                let floor = active
-                    .iter()
-                    .map(|&id| {
-                        let guard = runtimes[id as usize].lock().expect("shard lock");
-                        guard.as_ref().expect("active shard has a runtime").snapshot_mark(s)
-                    })
-                    .min()
-                    .unwrap_or(base[s]);
-                let cut = (floor - base[s]) as usize;
-                if cut > 0 {
-                    slot_log.drain(..cut);
-                    base[s] = floor;
-                    compacted_entries += cut as u64;
-                }
-            }
-            if compacted_entries > removed_before {
-                compactions += 1;
-                driver.record(
-                    EventKind::Compaction,
-                    t_end,
-                    0,
-                    compacted_entries - removed_before,
-                    compactions,
-                );
-                debug::emit("serve", || {
-                    format!(
-                        "epoch {epoch}: compaction #{compactions} removed {} log entries",
-                        compacted_entries - removed_before
-                    )
-                });
-            }
-        }
-        max_slot_log = max_slot_log.max(log.iter().map(|l| l.len() as u64).max().unwrap_or(0));
-    }
-
-    // Finish: every still-active runtime reads the keys its final
-    // assignment owns; retired shards contributed their stats already.
-    let final_shards = active.len() as u32;
-    let outputs: Vec<ShardOutput> = banked
-        .into_iter()
-        .enumerate()
-        .map(|(id, b)| match b {
-            Some(out) => out,
-            None => {
-                let rt = runtimes[id].lock().expect("shard lock").take().expect("unretired runtime");
-                rt.into_output(app, &|key| partition.owner_of(key) == id as u32)
-            }
-        })
-        .collect();
-    let mut report = merge_outputs(outputs, driver);
-    report.scale_ups = events.iter().filter(|e| matches!(e, ScaleEvent::Up { .. })).count() as u64;
-    report.scale_downs = events.iter().filter(|e| matches!(e, ScaleEvent::Down { .. })).count() as u64;
-    report.migrated_slots = events
-        .iter()
-        .map(|e| match e {
-            ScaleEvent::Up { slots, .. } | ScaleEvent::Down { slots, .. } => u64::from(*slots),
-        })
-        .sum();
-    report.compactions = compactions;
-    report.compacted_entries = compacted_entries;
-    report.max_slot_log = max_slot_log;
-    report.peak_shards = peak;
-    report.final_shards = final_shards;
-    report.events = events;
-    report
-}
-
-/// The elastic path's mutable state on the event core, shared between
-/// the [`EpochCadence`] component's ticks. Field-for-field the same
-/// state the legacy [`serve_adaptive`] loop keeps on its stack, minus
-/// the per-shard `Mutex`es — the event core is serial (virtual time
-/// already makes the report worker-invariant; the legacy path keeps
-/// the thread pool for wall-clock speed until it is deleted).
+/// The elastic path's mutable state, shared between the
+/// [`EpochCadence`] component's ticks. The controller itself runs on
+/// the calling thread; only each epoch's shard drains fan out
+/// ([`fan_out`]).
 struct EpochSys<'p, 'a> {
     app: &'a ServeApp,
     cfg: &'a ServeConfig,
@@ -1108,14 +891,28 @@ struct EpochSys<'p, 'a> {
     runtimes: Vec<Option<ShardRuntime<'p, 'a>>>,
     active: Vec<u32>,
     banked: Vec<Option<ShardOutput>>,
+    /// Global committed log per partition slot, in commit order — only
+    /// one shard owns a slot per epoch, so appends never interleave.
     log: Vec<Vec<&'a Request>>,
+    /// Compaction offset: `log[s]` holds the committed entries of slot
+    /// `s` from absolute index `base[s]` onward (all zero until a
+    /// compaction pass truncates).
     base: [u32; PARTITION_SLOTS as usize],
     compactions: u64,
     compacted_entries: u64,
     max_slot_log: u64,
     events: Vec<ScaleEvent>,
     peak: u32,
+    /// The widest drain fan-out so far ([`ServeReport::host_workers`]).
+    host_workers: u32,
+    /// The controller's own track: scaling decisions and compaction
+    /// run between drain phases on the calling thread, so this ring
+    /// sees the same sequence regardless of worker count.
     driver: Tracer,
+    /// Predictive policy state: Holt smoothing over each epoch's
+    /// arrival rate `chunk len / arrival span` — a property of the
+    /// stream alone, so the forecast (and the scaling schedule) is
+    /// identical across worker counts and batch policies.
     forecaster: Forecaster,
     prev_t_end: u64,
 }
@@ -1138,12 +935,10 @@ impl<'p, 'a> Component<EpochSys<'p, 'a>> for EpochCadence {
 impl<'p, 'a> EpochSys<'p, 'a> {
     /// One controller epoch — the body of one [`EpochCadence`] tick at
     /// the epoch's decision instant. Routes the chunk under the
-    /// current assignment, drains the active shards to quiescence on
-    /// an *inner* event-core scheduler (one [`ShardDrain`] per active
-    /// shard, in shard-id track order), then runs the decision +
-    /// compaction tail verbatim from the legacy loop. Step-for-step
-    /// identical to one [`serve_adaptive`] chunk iteration — the
-    /// old-vs-new differential pins it.
+    /// current assignment, drains the active shards to quiescence in
+    /// one [`fan_out`] (the shard set is fixed within an epoch),
+    /// appends the commits to the per-slot log, then applies at most
+    /// one scaling decision and the compaction pass.
     fn run_epoch(&mut self, epoch: usize) {
         let (app, cfg) = (self.app, self.cfg);
         let interval = cfg.control_interval.max(1) as usize;
@@ -1155,21 +950,21 @@ impl<'p, 'a> EpochSys<'p, 'a> {
             routed[self.partition.owner_of(r.key) as usize].push(r);
         }
 
-        // Drain the active shards to quiescence on the inner
-        // scheduler. Retired slots are `None`, so registration order —
-        // and therefore track order and the committed scatter below —
-        // is shard-id order, matching the legacy path's sort.
-        let committed: Vec<(u32, Vec<&'a Request>)> = {
-            let mut sched = Scheduler::new(tie_break(cfg));
-            for (slot, reqs) in self.runtimes.iter_mut().zip(&routed) {
-                if let Some(rt) = slot.as_mut() {
-                    sched.add(ShardDrain::new(rt, reqs, app, cfg));
-                }
-            }
-            sched.run(&mut ());
-            sched.into_components().into_iter().map(|d| (d.shard(), d.committed)).collect()
-        };
-        for (_, reqs) in &committed {
+        // Drain the active shards to quiescence. Retired slots are
+        // `None`, so the pairs — and the committed scatter below — run
+        // in shard-id order; per slot there is a single committing
+        // shard, so that order only makes the loop deterministic to
+        // read.
+        let pairs = self
+            .runtimes
+            .iter_mut()
+            .zip(&routed)
+            .filter_map(|(slot, reqs)| slot.as_mut().map(|rt| (rt, reqs.as_slice())))
+            .collect();
+        let (committed, threads) =
+            fan_out(pairs, |(_, reqs)| reqs.len(), cfg.workers, |set| drain_set(set, app, cfg));
+        self.host_workers = self.host_workers.max(threads);
+        for reqs in &committed {
             for r in reqs {
                 self.log[controller::slot_of(r.key) as usize].push(r);
             }
@@ -1264,8 +1059,11 @@ impl<'p, 'a> EpochSys<'p, 'a> {
         }
 
         // Compaction pass: bring every active shard up to the full
-        // committed log, then truncate each slot at the fleet-minimum
-        // snapshot mark (see the legacy loop for the full argument).
+        // committed log (background catch-up replay), then truncate
+        // each slot at the fleet-minimum snapshot mark. Entries below
+        // that floor can never be replayed again: crash recovery, fault
+        // twins and migrations all start from an active shard's
+        // snapshot, which sits at or past the mark.
         if cfg.compaction {
             for &id in &self.active.clone() {
                 let rt = self.runtimes[id as usize].as_mut().expect("active shard has a runtime");
@@ -1313,14 +1111,12 @@ impl<'p, 'a> EpochSys<'p, 'a> {
     }
 }
 
-/// The elastic path on the `elzar_sim` event core: the controller's
-/// epoch/forecast cadence is an [`EpochCadence`] component on an outer
-/// scheduler (one wake-up per epoch, at the epoch's decision instant),
-/// and each tick drains the active shards to quiescence on an inner
-/// scheduler before deciding — the same barrier the legacy chunk loop
-/// enforces, because a backlog read at `t_end` is only meaningful once
-/// the epoch's drains have committed. Old-vs-new is pinned bit-
-/// identical by the differential suite.
+/// The elastic path: the controller's epoch/forecast cadence is an
+/// [`EpochCadence`] component on an outer `elzar_sim` scheduler (one
+/// wake-up per epoch, at the epoch's decision instant), and each tick
+/// drains the active shards to quiescence in a [`fan_out`] before
+/// deciding — an epoch barrier, because a backlog read at `t_end` is
+/// only meaningful once the epoch's drains have committed.
 fn serve_adaptive_events(
     prog: &Program,
     app: &ServeApp,
@@ -1344,6 +1140,7 @@ fn serve_adaptive_events(
         max_slot_log: 0,
         events: Vec::new(),
         peak: start_shards,
+        host_workers: 0,
         driver: Tracer::new(DRIVER_TRACK, cfg.trace_events),
         forecaster: Forecaster::default(),
         prev_t_end: 0,
@@ -1387,6 +1184,7 @@ fn serve_adaptive_events(
     report.max_slot_log = sys.max_slot_log;
     report.peak_shards = sys.peak;
     report.final_shards = final_shards;
+    report.host_workers = sys.host_workers;
     report.events = sys.events;
     report
 }

@@ -8,10 +8,11 @@
 //!
 //! A `ShardRuntime` boots once (`init_entry` preloads resident state
 //! — e.g. the KV table — into the machine's memory), then serves routed
-//! requests in arrival order, fed either all at once (the static path)
-//! or one controller epoch at a time (the elastic path). Time is
-//! *virtual*: the VM's cycle counts drive a serial queue model, so
-//! results are independent of host threads and wall-clock.
+//! requests in arrival order, handed over either all at once (the
+//! static path) or one controller epoch at a time (the elastic path),
+//! one drain per `ShardDrain` wake-up. Time is *virtual*: the VM's
+//! cycle counts drive a serial queue model, so results are independent
+//! of host threads and wall-clock.
 //!
 //! ## Batching
 //!
@@ -116,7 +117,7 @@
 //! replication-correctness check.
 
 use crate::controller::{slot_of, PARTITION_SLOTS};
-use crate::gen::{shard_of, Request};
+use crate::gen::Request;
 use crate::histogram::LatencyHistogram;
 use crate::{fnv_fold, ServeConfig, FNV_OFFSET};
 use elzar_apps::{kv, ServeApp};
@@ -314,10 +315,10 @@ fn fault_rng_for(cfg: &ServeConfig, id: u64) -> Option<DetRng> {
     (rng.below(1_000_000) < u64::from(cfg.fault_ppm_for(id))).then_some(rng)
 }
 
-/// A resident serving shard that can be fed incrementally (one
+/// A resident serving shard that can be drained incrementally (one
 /// controller epoch at a time) and hand key ranges to or take them from
-/// other shards between feeds. The static serving path is the trivial
-/// schedule: boot once, feed the whole routed stream.
+/// other shards between drain phases. The static serving path is the
+/// trivial schedule: boot once, drain the whole routed stream.
 pub(crate) struct ShardRuntime<'p, 'a> {
     m: Machine<'p>,
     /// Warm standby ([`ServeConfig::replicas`]): a second machine that
@@ -703,25 +704,6 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         }
     }
 
-    /// Drain `requests` (this shard's routed arrivals, in arrival
-    /// order) to completion. Returns the requests that committed, in
-    /// commit order — the driver appends them to the global per-slot
-    /// committed log that scale-down migration replays.
-    ///
-    /// This is the legacy hand-rolled time loop; the event core drives
-    /// the identical [`ShardRuntime::drain_once`] body from a
-    /// scheduled [`ShardDrain`] wake-up per drain instead, so both
-    /// paths commit bit-identical state (pinned by the old-vs-new
-    /// differential suite).
-    pub fn feed(&mut self, requests: &[&'a Request], app: &ServeApp, cfg: &ServeConfig) -> Vec<&'a Request> {
-        let mut committed: Vec<&'a Request> = Vec::new();
-        let mut i = 0;
-        while i < requests.len() {
-            self.drain_once(requests, &mut i, &mut committed, app, cfg);
-        }
-        committed
-    }
-
     /// The instant this shard would start its next drain given the
     /// remaining `requests[i..]`: it picks up work when free *and* the
     /// next request has arrived. [`NEVER`](elzar_sim::NEVER) once the
@@ -736,9 +718,8 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
     /// One drain: form a single batch starting at `requests[*i]`,
     /// execute it as fault-free/solo segments, commit, snapshot as the
     /// interval dictates, and advance `*i` past every request consumed
-    /// (admitted, rejected or shed). One call is one scheduled event on
-    /// the event core; the legacy [`ShardRuntime::feed`] loop calls it
-    /// back-to-back until the queue drains.
+    /// (admitted, rejected or shed). One call is one [`ShardDrain`]
+    /// wake-up.
     pub(crate) fn drain_once(
         &mut self,
         requests: &[&'a Request],
@@ -1059,30 +1040,16 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
     }
 }
 
-/// Boot shard `shard` and drain its routed `requests` in arrival order
-/// — the static serving path (a [`ShardRuntime`] fed once).
-pub(crate) fn drain_shard(
-    prog: &Program,
-    app: &ServeApp,
-    shard: u32,
-    shards: u32,
-    requests: &[&Request],
-    cfg: &ServeConfig,
-) -> ShardOutput {
-    let mut rt = ShardRuntime::boot(prog, app, cfg, shard);
-    rt.feed(requests, app, cfg);
-    rt.into_output(app, &|key| shard_of(key, shards) == shard)
-}
-
 /// A shard on the `elzar_sim` event core: each wake-up is one drain
 /// ([`ShardRuntime::drain_once`]) at the instant the shard would pick
 /// up its next pending request ([`ShardRuntime::next_drain_at`]).
 ///
 /// Arrivals, batch drains, snapshots, heartbeats and failover
-/// promotion all commit *inside* the drain event, in the same order
-/// the legacy [`ShardRuntime::feed`] loop commits them — which is why
-/// the old-vs-new differential holds bit-identically: the scheduler
-/// only decides *which shard* drains next, and shards share no state.
+/// promotion all commit *inside* the drain event, in the shard's own
+/// arrival order: the scheduler only decides *which shard* drains
+/// next, and shards share no state — which is why any tie-break, and
+/// any split of the shards across host threads, commits bit-identical
+/// state.
 pub(crate) struct ShardDrain<'p, 'a, 's> {
     rt: &'s mut ShardRuntime<'p, 'a>,
     requests: &'s [&'a Request],
@@ -1102,11 +1069,6 @@ impl<'p, 'a, 's> ShardDrain<'p, 'a, 's> {
         cfg: &'s ServeConfig,
     ) -> Self {
         ShardDrain { rt, requests, i: 0, committed: Vec::new(), app, cfg }
-    }
-
-    /// The wrapped shard's id (for committed-log scatter in id order).
-    pub fn shard(&self) -> u32 {
-        self.rt.stats.shard
     }
 }
 

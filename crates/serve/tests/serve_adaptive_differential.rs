@@ -165,6 +165,8 @@ fn adaptive_worker_count_never_changes_anything() {
     assert_eq!(w1.migration_replays, w4.migration_replays);
     assert_eq!(w1.migration_cycles(), w4.migration_cycles());
     assert!(w1.scale_ups >= 1 && w1.scale_downs >= 1, "the schedule must actually scale");
+    assert_eq!(w1.host_workers, 1);
+    assert!(w4.host_workers > 1, "the scaled-up epochs must drain on more than one thread");
     for (sa, sb) in w1.shards.iter().zip(&w4.shards) {
         assert_eq!(sa.busy_cycles(), sb.busy_cycles());
         assert_eq!(sa.last_completion, sb.last_completion);

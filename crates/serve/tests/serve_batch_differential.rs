@@ -200,6 +200,7 @@ fn quantile_edges_are_total() {
         div_flagged: [0; 5],
         peak_shards: 0,
         final_shards: 0,
+        host_workers: 0,
         events: vec![],
         trace: Trace::default(),
         makespan_cycles: 0,

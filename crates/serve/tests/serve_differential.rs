@@ -1,7 +1,9 @@
 //! Differential determinism tests for the serving runtime, extending
 //! PR 1's campaign guarantee to the serving layer:
 //!
-//! * host *worker* count changes nothing at all (full report equality);
+//! * host *worker* count changes nothing at all (full report equality,
+//!   ledger and canonical trace bytes included), while the drain
+//!   really fans out across the workers;
 //! * *shard* count changes latency/throughput but never the online
 //!   fault outcome counts or the final KV-table digest — shards commit
 //!   only reference executions and the fault schedule keys on global
@@ -37,22 +39,51 @@ fn cfg(shards: u32, workers: u32) -> ServeConfig {
     }
 }
 
+/// Full report equality across host worker counts on the static path,
+/// over shard counts {1, 4} with tracing off and on (so the canonical
+/// trace bytes are compared too). The 4-worker side must really fan
+/// out: one thread per shard.
 #[test]
 fn worker_count_never_changes_anything() {
     for service in [Service::KvA, Service::Web] {
-        let a = serve(service, &Mode::elzar_default(), Scale::Tiny, &cfg(4, 1));
-        let b = serve(service, &Mode::elzar_default(), Scale::Tiny, &cfg(4, 4));
-        assert_eq!(a.served, b.served, "{}", service.label());
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.injected, b.injected);
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.restarts, b.restarts);
-        assert_eq!(a.makespan_cycles, b.makespan_cycles);
-        assert_eq!(a.hist, b.hist, "{}: latency histogram diverged", service.label());
-        assert_eq!(a.table_digest, b.table_digest);
-        for (sa, sb) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(sa.busy_cycles(), sb.busy_cycles());
-            assert_eq!(sa.last_completion, sb.last_completion);
+        for shards in [1, 4] {
+            for trace_events in [0, 64] {
+                let tag = format!("{}/{shards}s/trace {trace_events}", service.label());
+                let a = serve(
+                    service,
+                    &Mode::elzar_default(),
+                    Scale::Tiny,
+                    &ServeConfig { trace_events, ..cfg(shards, 1) },
+                );
+                let b = serve(
+                    service,
+                    &Mode::elzar_default(),
+                    Scale::Tiny,
+                    &ServeConfig { trace_events, ..cfg(shards, 4) },
+                );
+                assert_eq!(a.host_workers, 1, "{tag}");
+                assert_eq!(b.host_workers, shards, "{tag}: the drain must fan out one thread per shard");
+                assert_eq!(a.served + a.rejected + a.shed, 220, "{tag}: every request accounted for");
+                assert_eq!(a.served, b.served, "{tag}");
+                assert_eq!(a.rejected, b.rejected, "{tag}");
+                assert_eq!(a.injected, b.injected, "{tag}");
+                assert_eq!(a.outcomes, b.outcomes, "{tag}");
+                assert_eq!(a.restarts, b.restarts, "{tag}");
+                assert_eq!(a.makespan_cycles, b.makespan_cycles, "{tag}");
+                assert_eq!(a.hist, b.hist, "{tag}: latency histogram diverged");
+                assert_eq!(a.table_digest, b.table_digest, "{tag}");
+                assert_eq!(a.ledger, b.ledger, "{tag}: cycle ledger diverged");
+                assert_eq!(
+                    a.trace.canonical_bytes(),
+                    b.trace.canonical_bytes(),
+                    "{tag}: canonical trace bytes"
+                );
+                assert_eq!(a.trace.is_empty(), trace_events == 0, "{tag}: tracing on must record events");
+                for (sa, sb) in a.shards.iter().zip(&b.shards) {
+                    assert_eq!(sa.busy_cycles(), sb.busy_cycles(), "{tag}");
+                    assert_eq!(sa.last_completion, sb.last_completion, "{tag}");
+                }
+            }
         }
     }
 }

@@ -11,8 +11,11 @@
 //! * deliberate same-cycle collisions — eight shards woken on the same
 //!   arrival instant, instants aligned with epoch boundaries — commit
 //!   in `(cycle, track, seq)` order everywhere: the canonical trace
-//!   byte stream is invariant across worker counts, engines and fuzz
-//!   seeds.
+//!   byte stream is invariant across worker counts and fuzz seeds;
+//! * virtual-time overflow dies loudly: a stream whose arrivals sit
+//!   near `u64::MAX` panics naming the shard component that would have
+//!   wrapped, instead of silently lapping the clock — also when the
+//!   panic happens on a drain worker thread and must cross the join.
 
 use elzar::{Artifact, Mode};
 use elzar_apps::Scale;
@@ -60,7 +63,9 @@ fn static_order_fuzz_is_bit_identical_to_canonical() {
         trace_events: 64,
         ..Default::default()
     };
-    let canonical = fingerprint(&serve_program(service, artifact.program(), &app, &cfg));
+    let report = serve_program(service, artifact.program(), &app, &cfg);
+    assert_eq!(report.host_workers, 2, "four shards must split across both workers");
+    let canonical = fingerprint(&report);
     for seed in FUZZ_SEEDS {
         let fuzzed = fingerprint(&serve_program(
             service,
@@ -156,7 +161,7 @@ fn order_dependence_hunt_comes_back_empty() {
 /// boundaries the controller reads), waking several shards on the
 /// same cycle. The committed order is pinned by `(cycle, track, seq)`:
 /// the canonical trace byte stream — and the whole report — is
-/// invariant across worker counts, both engines, and fuzz seeds.
+/// invariant across worker counts and fuzz seeds.
 #[test]
 fn same_cycle_collisions_commit_in_pinned_order() {
     let service = Service::KvA;
@@ -187,19 +192,60 @@ fn same_cycle_collisions_commit_in_pinned_order() {
     let reference = fingerprint(&serve_stream(artifact.program(), &app, &stream, &base));
     assert!(!reference.6.is_empty(), "collision run must produce trace bytes");
     for workers in [1, 4] {
-        for event_core in [false, true] {
-            for order_fuzz in [0, 0xF00D] {
-                if !event_core && order_fuzz != 0 {
-                    continue; // fuzzing only exists on the event core
-                }
-                let cfg = ServeConfig { workers, event_core, order_fuzz, ..base.clone() };
-                let got = fingerprint(&serve_stream(artifact.program(), &app, &stream, &cfg));
-                assert_eq!(
-                    reference, got,
-                    "collision run diverged at workers={workers} event_core={event_core} \
-                     order_fuzz={order_fuzz:#x}"
-                );
+        for order_fuzz in [0, 0xF00D] {
+            let cfg = ServeConfig { workers, order_fuzz, ..base.clone() };
+            let report = serve_stream(artifact.program(), &app, &stream, &cfg);
+            if workers > 1 {
+                assert!(report.host_workers > 1, "workers={workers}: the collision epochs never fanned out");
             }
+            assert_eq!(
+                reference,
+                fingerprint(&report),
+                "collision run diverged at workers={workers} order_fuzz={order_fuzz:#x}"
+            );
         }
+    }
+}
+
+/// A stream whose arrivals crowd `u64::MAX` must die loudly in the
+/// shard clock arithmetic — naming the component — not wrap and serve
+/// requests in a lapped past. At two workers each shard drains on its
+/// own thread, so the message must survive the join.
+#[test]
+fn near_max_arrivals_panic_naming_the_shard_component() {
+    let service = Service::KvA;
+    let app = service.app(Scale::Tiny);
+    let artifact = Artifact::build(&app.module, &Mode::elzar_default());
+    let cfg = ServeConfig {
+        shards: 2,
+        workers: 1,
+        requests: 16,
+        seed: 0xBADC_0FFE,
+        queue_capacity: 1 << 20,
+        mean_gap_cycles: 1_000,
+        ..Default::default()
+    };
+    let mut stream = service.stream(&app, &cfg);
+    // Shift the (monotone) arrivals so the last lands 8 cycles shy of
+    // the end of virtual time: the first completion estimate wraps.
+    let n = stream.len() as u64;
+    for (i, req) in stream.iter_mut().enumerate() {
+        req.arrival = u64::MAX - 8 - (n - i as u64);
+    }
+    for workers in [1, 2] {
+        let cfg = ServeConfig { workers, ..cfg.clone() };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_stream(artifact.program(), &app, &stream, &cfg)
+        }))
+        .expect_err("near-MAX arrivals must panic, not wrap");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("virtual-time overflow") && msg.contains("shard"),
+            "workers={workers}: panic must name the shard component, got: {msg}"
+        );
     }
 }

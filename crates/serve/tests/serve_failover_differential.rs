@@ -90,6 +90,8 @@ fn warm_failover_raises_availability_never_changes_outcomes() {
 
         invariant_eq(&format!("{label}: replicas off vs on"), &off, &on);
         invariant_eq(&format!("{label}: replicas on, w4 vs w1"), &on, &on_w1);
+        assert!(on.host_workers > 1, "{label}: the 4-worker run must drain both shards in parallel");
+        assert_eq!(on_w1.host_workers, 1, "{label}");
         // The hardened KV build crashes rarely even at a 30% SEU rate
         // (most flips are masked or corrected); the web parse crashes
         // often. A handful is enough to discriminate availability.

@@ -75,6 +75,7 @@ fn canonical_trace_is_bit_identical_across_workers() {
     let w1 = storm_run(&ServeConfig { workers: 1, ..base.clone() });
     let w4 = storm_run(&ServeConfig { workers: 4, ..base.clone() });
     assert!(!w1.trace.is_empty(), "a traced storm must record events");
+    assert!(w4.host_workers > 1, "the 4-worker storm never fanned out");
     assert_eq!(w1.trace.dropped_events, 0, "the deep ring must not drop on this stream");
     assert_eq!(
         w1.trace.canonical_bytes(),

@@ -93,6 +93,18 @@ fn every_preset_and_policy_is_worker_invariant() {
                 "{tag}: report must account for every request"
             );
             bit_identical(&tag, &w1, &w4);
+            // The 4-worker side must really fan out wherever the
+            // schedule ran more than one shard (skew-shift, fault-storm
+            // and reactive diurnal never scale up at this load, so
+            // their single shard has nothing to split); the flash crowd
+            // needs the whole fleet, one thread per shard.
+            assert_eq!(w1.host_workers, 1, "{tag}");
+            if w4.peak_shards > 1 {
+                assert!(w4.host_workers > 1, "{tag}: the 4-worker run never fanned out");
+            }
+            if preset == ScenarioPreset::FlashCrowd {
+                assert_eq!(w4.host_workers, 4, "{tag}: the flash crowd must drain on all four workers");
+            }
             // Scenarios with fault phases must actually inject (the
             // preset rates are 5%+ over 320 requests).
             assert!(w1.injected > 0, "{tag}: no injections");
