@@ -1,51 +1,64 @@
-//! Old-vs-new engine differential for the discrete-event core
+//! Execution-engine differential for the discrete-event serving core
 //! (`elzar_sim`):
 //!
-//! * the legacy hand-rolled serving loops (`event_core: false`) and the
-//!   `elzar_sim` scheduler (`event_core: true`) are *bit-identical* —
-//!   outcome counts, the KV digest, p50/p99/p999 latency quantiles,
-//!   ledger conservation and the canonical trace bytes — for every
-//!   scenario preset × scaling policy × worker count, and for the
-//!   static path across shard counts;
-//! * per-shard cycle ledgers conserve against shard lifetimes on both
-//!   engines (the event core charges through the exact same
-//!   `drain_once` body, so a leak on either side is a real bug);
-//! * virtual-time overflow dies loudly: a stream whose arrivals sit
-//!   near `u64::MAX` panics naming the shard component that would have
-//!   wrapped, instead of silently lapping the clock.
+//! * shard VMs run on the per-instruction reference interpreter
+//!   (`EngineKind::Reference`) and on the superblock trace engine
+//!   (`EngineKind::Trace`) produce *bit-identical* reports — outcome
+//!   counts, the KV digest, p50/p99/p999 latency quantiles, the cycle
+//!   ledger and the canonical trace bytes — for every scenario preset ×
+//!   scaling policy, and for the static path across shard counts;
+//! * the engine axis composes with the worker axis: the single-worker
+//!   reference run is the oracle for the trace engine at 1 *and* 4
+//!   workers, so an engine difference that only shows once the drain
+//!   fans out across threads is caught too;
+//! * per-shard cycle ledgers conserve against shard lifetimes on every
+//!   run.
 
 use elzar::{Artifact, Mode};
 use elzar_apps::Scale;
 use elzar_serve::gen::ScenarioPreset;
-use elzar_serve::{
-    serve_program, serve_scenario, serve_stream, ScalingPolicy, ServeConfig, ServeReport, Service,
-};
+use elzar_serve::{serve_program, serve_scenario, ScalingPolicy, ServeConfig, ServeReport, Service};
+use elzar_vm::{EngineKind, MachineConfig};
 
 const REQUESTS: u64 = 320;
 const BASE_GAP: u64 = 12_000;
 const BASE_PPM: u32 = 50_000;
 
+/// `cfg` with its shard machines pinned to `engine`.
+fn on_engine(cfg: &ServeConfig, engine: EngineKind, workers: u32) -> ServeConfig {
+    ServeConfig { workers, machine: MachineConfig { engine, ..cfg.machine.clone() }, ..cfg.clone() }
+}
+
 /// Full-report equality, quantile grid included. `tag` names the run
 /// so a divergence points at the exact preset/policy/worker cell.
-fn bit_identical(tag: &str, legacy: &ServeReport, event: &ServeReport) {
-    assert_eq!(legacy.served, event.served, "{tag}: served");
-    assert_eq!(legacy.rejected, event.rejected, "{tag}: rejected");
-    assert_eq!(legacy.shed, event.shed, "{tag}: shed");
-    assert_eq!(legacy.injected, event.injected, "{tag}: injected");
-    assert_eq!(legacy.outcomes, event.outcomes, "{tag}: outcome counts");
-    assert_eq!(legacy.restarts, event.restarts, "{tag}: restarts");
-    assert_eq!(legacy.makespan_cycles, event.makespan_cycles, "{tag}: makespan");
+fn bit_identical(tag: &str, reference: &ServeReport, trace: &ServeReport) {
+    assert_eq!(reference.served, trace.served, "{tag}: served");
+    assert_eq!(reference.rejected, trace.rejected, "{tag}: rejected");
+    assert_eq!(reference.shed, trace.shed, "{tag}: shed");
+    assert_eq!(reference.injected, trace.injected, "{tag}: injected");
+    assert_eq!(reference.outcomes, trace.outcomes, "{tag}: outcome counts");
+    assert_eq!(reference.restarts, trace.restarts, "{tag}: restarts");
+    assert_eq!(reference.makespan_cycles, trace.makespan_cycles, "{tag}: makespan");
     for q in [0.5, 0.99, 0.999] {
-        assert_eq!(legacy.quantile_cycles(q), event.quantile_cycles(q), "{tag}: p{} quantile", q * 1000.0);
+        assert_eq!(
+            reference.quantile_cycles(q),
+            trace.quantile_cycles(q),
+            "{tag}: p{} quantile",
+            q * 1000.0
+        );
     }
-    assert_eq!(legacy.hist, event.hist, "{tag}: latency histogram");
-    assert_eq!(legacy.table_digest, event.table_digest, "{tag}: KV table digest");
-    assert_eq!(legacy.events, event.events, "{tag}: scaling event log");
-    assert_eq!(legacy.ledger, event.ledger, "{tag}: cycle ledger");
-    assert_eq!(legacy.peak_shards, event.peak_shards, "{tag}: peak shards");
-    assert_eq!(legacy.final_shards, event.final_shards, "{tag}: final shards");
-    assert_eq!(legacy.trace.canonical_bytes(), event.trace.canonical_bytes(), "{tag}: canonical trace bytes");
-    for (report, engine) in [(legacy, "legacy"), (event, "event core")] {
+    assert_eq!(reference.hist, trace.hist, "{tag}: latency histogram");
+    assert_eq!(reference.table_digest, trace.table_digest, "{tag}: KV table digest");
+    assert_eq!(reference.events, trace.events, "{tag}: scaling event log");
+    assert_eq!(reference.ledger, trace.ledger, "{tag}: cycle ledger");
+    assert_eq!(reference.peak_shards, trace.peak_shards, "{tag}: peak shards");
+    assert_eq!(reference.final_shards, trace.final_shards, "{tag}: final shards");
+    assert_eq!(
+        reference.trace.canonical_bytes(),
+        trace.trace.canonical_bytes(),
+        "{tag}: canonical trace bytes"
+    );
+    for (report, engine) in [(reference, "reference"), (trace, "trace")] {
         for s in &report.shards {
             s.ledger
                 .verify(s.lifetime_cycles)
@@ -63,45 +76,39 @@ fn static_path_engines_are_bit_identical() {
         let app = service.app(Scale::Tiny);
         let artifact = Artifact::build(&app.module, &Mode::elzar_default());
         for shards in [1, 4] {
+            let cfg = ServeConfig {
+                shards,
+                requests: 220,
+                seed: 0xD5EE_D001,
+                fault_rate_ppm: 120_000,
+                queue_capacity: 1 << 20,
+                mean_gap_cycles: 1_500,
+                trace_events: 64,
+                ..Default::default()
+            };
+            let reference =
+                serve_program(service, artifact.program(), &app, &on_engine(&cfg, EngineKind::Reference, 1));
+            assert_eq!(
+                reference.served + reference.rejected + reference.shed,
+                220,
+                "{}/{shards}s: report must account for every request",
+                service.label()
+            );
+            assert!(!reference.trace.is_empty(), "{}/{shards}s: tracing on must record events", service.label());
             for workers in [1, 4] {
-                let cfg = ServeConfig {
-                    shards,
-                    workers,
-                    requests: 220,
-                    seed: 0xD5EE_D001,
-                    fault_rate_ppm: 120_000,
-                    queue_capacity: 1 << 20,
-                    mean_gap_cycles: 1_500,
-                    trace_events: 64,
-                    ..Default::default()
-                };
-                let legacy = serve_program(
-                    service,
-                    artifact.program(),
-                    &app,
-                    &ServeConfig { event_core: false, ..cfg.clone() },
-                );
-                let event = serve_program(
-                    service,
-                    artifact.program(),
-                    &app,
-                    &ServeConfig { event_core: true, ..cfg },
-                );
                 let tag = format!("{}/{shards}s/{workers}w", service.label());
-                assert_eq!(
-                    legacy.served + legacy.rejected + legacy.shed,
-                    220,
-                    "{tag}: report must account for every request"
-                );
-                bit_identical(&tag, &legacy, &event);
+                let trace =
+                    serve_program(service, artifact.program(), &app, &on_engine(&cfg, EngineKind::Trace, workers));
+                assert_eq!(trace.host_workers, shards.min(workers), "{tag}: drain fan-out");
+                bit_identical(&tag, &reference, &trace);
             }
         }
     }
 }
 
-/// The adaptive path: every scenario preset × scaling policy × worker
-/// count runs bit-identical between the legacy epoch loop and the
-/// `EpochCadence` component on the event core.
+/// The adaptive path: every scenario preset × scaling policy runs
+/// bit-identical between the reference interpreter and the trace
+/// engine, with the trace side at 1 and 4 workers.
 #[test]
 fn every_preset_and_policy_is_engine_invariant() {
     let service = Service::KvA;
@@ -110,87 +117,46 @@ fn every_preset_and_policy_is_engine_invariant() {
     for preset in ScenarioPreset::all() {
         let scenario = preset.scenario(REQUESTS, BASE_GAP, BASE_PPM);
         for policy in [ScalingPolicy::Reactive, ScalingPolicy::Predictive] {
+            let cfg = ServeConfig {
+                shards: 1,
+                batch_size: 4,
+                snapshot_interval: 16,
+                seed: 0x5CE2_A210,
+                queue_capacity: 1 << 20,
+                adaptive_shards: true,
+                shards_max: 4,
+                control_interval: 16,
+                scale_up_backlog: 6,
+                scale_down_backlog: 1,
+                scaling_policy: policy,
+                trace_events: 64,
+                ..Default::default()
+            };
+            let reference = serve_scenario(
+                service,
+                artifact.program(),
+                &app,
+                &scenario,
+                &on_engine(&cfg, EngineKind::Reference, 1),
+            );
+            assert_eq!(
+                reference.served + reference.rejected + reference.shed,
+                REQUESTS,
+                "{}/{policy:?}: report must account for every request",
+                preset.label()
+            );
+            assert!(reference.injected > 0, "{}/{policy:?}: no injections", preset.label());
             for workers in [1, 4] {
-                let cfg = ServeConfig {
-                    shards: 1,
-                    workers,
-                    batch_size: 4,
-                    snapshot_interval: 16,
-                    seed: 0x5CE2_A210,
-                    queue_capacity: 1 << 20,
-                    adaptive_shards: true,
-                    shards_max: 4,
-                    control_interval: 16,
-                    scale_up_backlog: 6,
-                    scale_down_backlog: 1,
-                    scaling_policy: policy,
-                    trace_events: 64,
-                    ..Default::default()
-                };
-                let legacy = serve_scenario(
-                    service,
-                    artifact.program(),
-                    &app,
-                    &scenario,
-                    &ServeConfig { event_core: false, ..cfg.clone() },
-                );
-                let event = serve_scenario(
-                    service,
-                    artifact.program(),
-                    &app,
-                    &scenario,
-                    &ServeConfig { event_core: true, ..cfg },
-                );
                 let tag = format!("{}/{policy:?}/{workers}w", preset.label());
-                assert_eq!(
-                    legacy.served + legacy.rejected + legacy.shed,
-                    REQUESTS,
-                    "{tag}: report must account for every request"
+                let trace = serve_scenario(
+                    service,
+                    artifact.program(),
+                    &app,
+                    &scenario,
+                    &on_engine(&cfg, EngineKind::Trace, workers),
                 );
-                bit_identical(&tag, &legacy, &event);
+                bit_identical(&tag, &reference, &trace);
             }
         }
-    }
-}
-
-/// A stream whose arrivals crowd `u64::MAX` must die loudly in the
-/// shard clock arithmetic — naming the component — not wrap and serve
-/// requests in a lapped past.
-#[test]
-fn near_max_arrivals_panic_naming_the_shard_component() {
-    let service = Service::KvA;
-    let app = service.app(Scale::Tiny);
-    let artifact = Artifact::build(&app.module, &Mode::elzar_default());
-    let cfg = ServeConfig {
-        shards: 2,
-        workers: 1,
-        requests: 16,
-        seed: 0xBADC_0FFE,
-        queue_capacity: 1 << 20,
-        mean_gap_cycles: 1_000,
-        ..Default::default()
-    };
-    let mut stream = service.stream(&app, &cfg);
-    // Shift the (monotone) arrivals so the last lands 8 cycles shy of
-    // the end of virtual time: the first completion estimate wraps.
-    let n = stream.len() as u64;
-    for (i, req) in stream.iter_mut().enumerate() {
-        req.arrival = u64::MAX - 8 - (n - i as u64);
-    }
-    for event_core in [false, true] {
-        let cfg = ServeConfig { event_core, ..cfg.clone() };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_stream(artifact.program(), &app, &stream, &cfg)
-        }))
-        .expect_err("near-MAX arrivals must panic, not wrap");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains("virtual-time overflow") && msg.contains("shard"),
-            "event_core={event_core}: panic must name the shard component, got: {msg}"
-        );
     }
 }
