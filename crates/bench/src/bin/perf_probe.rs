@@ -4,12 +4,10 @@
 //!
 //! Metrics:
 //! * `engines` — retired IR instructions per wall-clock second for each
-//!   execution engine (reference interpreter, trace engine with the
-//!   scalar kernel table, trace engine with the AVX2 table), in both
-//!   native and ELZAR-hardened modes, plus the detected CPU features
-//!   the SIMD dispatch keys on;
-//! * `elzar_speedup_trace_simd_vs_reference` — the headline: hardened
-//!   steps/s of the SIMD trace engine over the reference interpreter;
+//!   execution engine (reference interpreter and trace engine), in both
+//!   native and ELZAR-hardened modes;
+//! * `elzar_speedup_trace_vs_reference` — the headline: hardened
+//!   steps/s of the trace engine over the reference interpreter;
 //! * `campaign_runs_per_sec` — fault-injection runs per second on the
 //!   hardened kernel (checkpointed driver, `ELZAR_CAMPAIGN_THREADS`
 //!   workers);
@@ -22,7 +20,7 @@ use elzar_bench::report::{write_report, Json};
 use elzar_fault::CampaignConfig;
 use elzar_ir::builder::{c64, FuncBuilder};
 use elzar_ir::{Builtin, Module, Ty};
-use elzar_vm::{cpu_features, EngineKind, MachineConfig};
+use elzar_vm::{EngineKind, MachineConfig};
 use std::time::Instant;
 
 fn kernel(iters: i64) -> Module {
@@ -86,11 +84,7 @@ fn campaign_rate(artifact: &Artifact, share_prefixes: bool, workers: u32) -> f64
 }
 
 fn main() {
-    // The probed engines: the reference interpreter and the trace
-    // engine pinned to each kernel table. `TraceSimd` degrades to the
-    // scalar table on hosts without AVX2 — `cpu_features` records which
-    // case a given BENCH file measured.
-    let engines = [EngineKind::Reference, EngineKind::TraceScalar, EngineKind::TraceSimd];
+    let engines = [EngineKind::Reference, EngineKind::Trace];
     let native = Artifact::build(&kernel(20_000), &Mode::NativeNoSimd);
     let elzar = Artifact::build(&kernel(20_000), &Mode::elzar_default());
     let mut sections = Json::obj();
@@ -112,13 +106,10 @@ fn main() {
     hardened.golden(&[], &CampaignConfig::default().machine);
     let fast = campaign_rate(&hardened, true, workers);
     let naive = campaign_rate(&hardened, false, 1);
-    let features = Json::Arr(cpu_features().into_iter().map(Json::str).collect());
     let json = Json::obj()
-        .field("cpu_features", features)
         .field("engines", sections)
-        .field("elzar_speedup_trace_simd_vs_reference", Json::num(elzar_rates[2] / elzar_rates[0], 2))
-        .field("elzar_ratio_trace_scalar_vs_reference", Json::num(elzar_rates[1] / elzar_rates[0], 2))
-        .field("native_speedup_trace_simd_vs_reference", Json::num(native_rates[2] / native_rates[0], 2))
+        .field("elzar_speedup_trace_vs_reference", Json::num(elzar_rates[1] / elzar_rates[0], 2))
+        .field("native_speedup_trace_vs_reference", Json::num(native_rates[1] / native_rates[0], 2))
         .field("campaign_workers", Json::uint(u64::from(workers)))
         .field("campaign_runs_per_sec", Json::num(fast, 2))
         .field("campaign_runs_per_sec_naive_serial", Json::num(naive, 2))

@@ -1,28 +1,25 @@
 //! # elzar-engine
 //!
-//! Execution-engine selection and 256-bit kernel tables for the ELZAR
-//! reproduction.
+//! Execution-engine selection and the 256-bit kernel table for the
+//! ELZAR reproduction.
 //!
 //! The reference interpreter in `elzar-vm` steps one lowered instruction
-//! at a time. This crate provides everything a faster *trace* backend
+//! at a time. This crate provides everything the faster *trace* engine
 //! needs that is independent of the VM itself:
 //!
 //! - [`EngineKind`]: the user-facing knob (`MachineConfig::engine`, with
-//!   an `ELZAR_ENGINE` environment override) naming which engine runs a
-//!   machine, and its resolution to a concrete [`Backend`] after runtime
-//!   CPU-feature detection.
-//! - [`kernels`]: two bit-identical tables of 256-bit register kernels —
-//!   a portable scalar table, and an AVX2 table built on real
-//!   `std::arch::x86_64` intrinsics that is only ever installed when
-//!   `is_x86_feature_detected!("avx2")` succeeds at runtime.
+//!   an `ELZAR_ENGINE` environment override applied by
+//!   [`EngineKind::resolve`]) naming which engine runs a machine.
+//! - [`kernels`]: one table of portable 256-bit register kernels, one
+//!   function per full-register lane op the trace engine runs whole.
 //! - [`Engine`]: the trait a VM implements per engine so callers can
 //!   drive quantum-sized execution steps generically.
 //!
 //! The crate deliberately knows nothing about lowered instructions or
-//! timing; `elzar-vm` owns trace formation and execution and uses these
-//! tables for the data-parallel inner ops. Kernels operate on the raw
+//! timing; `elzar-vm` owns trace formation and execution and uses the
+//! table for the data-parallel inner ops. Kernels operate on the raw
 //! `[u64; 4]` limb representation of [`elzar_avx::Ymm`], whose lane
-//! semantics are the executable specification both tables must match.
+//! semantics are the executable specification the table must match.
 
 #![warn(missing_docs)]
 
@@ -30,51 +27,38 @@ pub mod kernels;
 
 /// Which execution engine a [`MachineConfig`](index.html) asks for.
 ///
-/// `Trace` (the default) auto-selects SIMD kernels when the host CPU
-/// supports AVX2 and falls back to the bit-identical scalar kernel table
-/// otherwise; `TraceScalar`/`TraceSimd` force one side of that dispatch
-/// (a forced `TraceSimd` still degrades to scalar kernels on hosts
-/// without AVX2 rather than failing). `Reference` is the original
-/// per-instruction interpreter.
-///
-/// The `ELZAR_ENGINE` environment variable (values `reference`, `trace`,
-/// `trace-scalar`, `trace-simd`) overrides the configured kind at
+/// Both engines are bit-identical in every simulated observable; they
+/// differ only in host speed. The `ELZAR_ENGINE` environment variable
+/// (`reference` or `trace`) overrides the configured kind at
 /// [`EngineKind::resolve`] time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The original per-instruction reference interpreter.
+    /// The original per-instruction reference interpreter: the oracle.
     Reference,
-    /// Superblock trace execution; kernel table picked by runtime AVX2
-    /// detection. The default.
+    /// Superblock trace execution with fused check idioms and
+    /// whole-register kernels. The default.
     #[default]
     Trace,
-    /// Trace execution pinned to the portable scalar kernel table.
-    TraceScalar,
-    /// Trace execution pinned to the AVX2 kernel table (scalar fallback
-    /// if the host lacks AVX2).
-    TraceSimd,
 }
 
-/// The concrete backend a machine runs after env override and CPU
-/// feature detection are applied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Per-instruction reference interpreter.
-    Reference,
-    /// Trace execution with the scalar kernel table.
-    TraceScalar,
-    /// Trace execution with the AVX2 kernel table.
-    TraceSimd,
+#[allow(non_upper_case_globals)]
+impl EngineKind {
+    // The benchmark crate (`perfbench/`, changed only together with the
+    // benchmark itself) still names the two deleted kernel-table engines
+    // in a `const`. Both now mean `Trace`; remove them with the next
+    // change to the benchmark. `parse` does not accept their names.
+    #[doc(hidden)]
+    pub const TraceScalar: EngineKind = EngineKind::Trace;
+    #[doc(hidden)]
+    pub const TraceSimd: EngineKind = EngineKind::Trace;
 }
 
 impl EngineKind {
     /// Parse an engine name as used by `ELZAR_ENGINE`.
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s.trim() {
-            "reference" | "ref" => Some(EngineKind::Reference),
+            "reference" => Some(EngineKind::Reference),
             "trace" => Some(EngineKind::Trace),
-            "trace-scalar" | "trace_scalar" | "scalar" => Some(EngineKind::TraceScalar),
-            "trace-simd" | "trace_simd" | "simd" => Some(EngineKind::TraceSimd),
             _ => None,
         }
     }
@@ -84,74 +68,29 @@ impl EngineKind {
         match self {
             EngineKind::Reference => "reference",
             EngineKind::Trace => "trace",
-            EngineKind::TraceScalar => "trace-scalar",
-            EngineKind::TraceSimd => "trace-simd",
         }
     }
 
-    /// The engine requested by the `ELZAR_ENGINE` environment variable,
-    /// if set to a recognized name.
-    pub fn from_env() -> Option<EngineKind> {
-        std::env::var("ELZAR_ENGINE").ok().as_deref().and_then(EngineKind::parse)
+    /// The engine that runs: the `ELZAR_ENGINE` override if set, else
+    /// `self`.
+    ///
+    /// # Panics
+    /// Panics if `ELZAR_ENGINE` is set to anything but an engine name,
+    /// so a stale or mistyped override never runs the wrong engine
+    /// silently. An empty value counts as unset.
+    pub fn resolve(self) -> EngineKind {
+        self.resolve_with(std::env::var("ELZAR_ENGINE").ok().as_deref())
     }
 
-    /// Resolve to a concrete [`Backend`]: the `ELZAR_ENGINE` override
-    /// wins over the configured kind, then `Trace`/`TraceSimd` pick the
-    /// SIMD table only when the host actually has AVX2 (and
-    /// `ELZAR_FORCE_SCALAR` is not set).
-    pub fn resolve(self) -> Backend {
-        match EngineKind::from_env().unwrap_or(self) {
-            EngineKind::Reference => Backend::Reference,
-            EngineKind::TraceScalar => Backend::TraceScalar,
-            EngineKind::Trace | EngineKind::TraceSimd => {
-                if avx2_available() {
-                    Backend::TraceSimd
-                } else {
-                    Backend::TraceScalar
-                }
-            }
+    /// [`EngineKind::resolve`] against an explicit override value.
+    fn resolve_with(self, env: Option<&str>) -> EngineKind {
+        match env.map(str::trim) {
+            None | Some("") => self,
+            Some(v) => EngineKind::parse(v).unwrap_or_else(|| {
+                panic!("ELZAR_ENGINE={v:?} is not an engine; the accepted names are `reference` and `trace`")
+            }),
         }
     }
-}
-
-/// True when `ELZAR_FORCE_SCALAR` is set to anything but `0`/empty —
-/// used by CI to exercise the scalar fallback on AVX2 hosts, since
-/// `is_x86_feature_detected!` ignores `RUSTFLAGS`.
-pub fn forced_scalar() -> bool {
-    matches!(std::env::var("ELZAR_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Runtime check: may trace execution use the AVX2 kernel table?
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        !forced_scalar() && is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Names of the SIMD-relevant CPU features detected at runtime, for
-/// benchmark reports.
-pub fn cpu_features() -> Vec<&'static str> {
-    let mut out = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    {
-        for (name, have) in [
-            ("sse4.2", is_x86_feature_detected!("sse4.2")),
-            ("avx", is_x86_feature_detected!("avx")),
-            ("avx2", is_x86_feature_detected!("avx2")),
-            ("fma", is_x86_feature_detected!("fma")),
-            ("avx512f", is_x86_feature_detected!("avx512f")),
-        ] {
-            if have {
-                out.push(name);
-            }
-        }
-    }
-    out
 }
 
 /// A pluggable execution engine over some machine type `M`.
@@ -180,27 +119,31 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for k in [EngineKind::Reference, EngineKind::Trace, EngineKind::TraceScalar, EngineKind::TraceSimd] {
+        for k in [EngineKind::Reference, EngineKind::Trace] {
             assert_eq!(EngineKind::parse(k.name()), Some(k));
         }
         assert_eq!(EngineKind::parse("banana"), None);
+        // The names of the deleted kernel-table engines are rejected.
+        for old in ["trace-simd", "trace-scalar", "trace_simd", "trace_scalar", "simd", "scalar", "ref"] {
+            assert_eq!(EngineKind::parse(old), None, "{old}");
+        }
     }
 
     #[test]
     fn resolve_honors_kind() {
-        // No ELZAR_ENGINE in the test environment: configured kind wins.
-        if EngineKind::from_env().is_none() {
-            assert_eq!(EngineKind::Reference.resolve(), Backend::Reference);
-            assert_eq!(EngineKind::TraceScalar.resolve(), Backend::TraceScalar);
-            let auto = EngineKind::Trace.resolve();
-            assert!(auto == Backend::TraceScalar || auto == Backend::TraceSimd);
-            if avx2_available() {
-                assert_eq!(auto, Backend::TraceSimd);
-                assert_eq!(EngineKind::TraceSimd.resolve(), Backend::TraceSimd);
-            } else {
-                assert_eq!(auto, Backend::TraceScalar);
-                assert_eq!(EngineKind::TraceSimd.resolve(), Backend::TraceScalar);
-            }
+        for k in [EngineKind::Reference, EngineKind::Trace] {
+            assert_eq!(k.resolve_with(None), k);
+            assert_eq!(k.resolve_with(Some("")), k);
+            assert_eq!(k.resolve_with(Some("reference")), EngineKind::Reference);
+            assert_eq!(k.resolve_with(Some(" trace ")), EngineKind::Trace);
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ELZAR_ENGINE=\"simd\" is not an engine; the accepted names are `reference` and `trace`"
+    )]
+    fn unknown_override_panics_naming_value_and_engines() {
+        EngineKind::Trace.resolve_with(Some("simd"));
     }
 }

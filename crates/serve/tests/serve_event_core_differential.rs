@@ -26,7 +26,7 @@ const BASE_PPM: u32 = 50_000;
 
 /// `cfg` with its shard machines pinned to `engine`.
 fn on_engine(cfg: &ServeConfig, engine: EngineKind, workers: u32) -> ServeConfig {
-    ServeConfig { workers, machine: MachineConfig { engine, ..cfg.machine.clone() }, ..cfg.clone() }
+    ServeConfig { workers, machine: MachineConfig { engine, ..cfg.machine }, ..cfg.clone() }
 }
 
 /// Full-report equality, quantile grid included. `tag` names the run
@@ -40,12 +40,7 @@ fn bit_identical(tag: &str, reference: &ServeReport, trace: &ServeReport) {
     assert_eq!(reference.restarts, trace.restarts, "{tag}: restarts");
     assert_eq!(reference.makespan_cycles, trace.makespan_cycles, "{tag}: makespan");
     for q in [0.5, 0.99, 0.999] {
-        assert_eq!(
-            reference.quantile_cycles(q),
-            trace.quantile_cycles(q),
-            "{tag}: p{} quantile",
-            q * 1000.0
-        );
+        assert_eq!(reference.quantile_cycles(q), trace.quantile_cycles(q), "{tag}: p{} quantile", q * 1000.0);
     }
     assert_eq!(reference.hist, trace.hist, "{tag}: latency histogram");
     assert_eq!(reference.table_digest, trace.table_digest, "{tag}: KV table digest");
@@ -94,11 +89,19 @@ fn static_path_engines_are_bit_identical() {
                 "{}/{shards}s: report must account for every request",
                 service.label()
             );
-            assert!(!reference.trace.is_empty(), "{}/{shards}s: tracing on must record events", service.label());
+            assert!(
+                !reference.trace.is_empty(),
+                "{}/{shards}s: tracing on must record events",
+                service.label()
+            );
             for workers in [1, 4] {
                 let tag = format!("{}/{shards}s/{workers}w", service.label());
-                let trace =
-                    serve_program(service, artifact.program(), &app, &on_engine(&cfg, EngineKind::Trace, workers));
+                let trace = serve_program(
+                    service,
+                    artifact.program(),
+                    &app,
+                    &on_engine(&cfg, EngineKind::Trace, workers),
+                );
                 assert_eq!(trace.host_workers, shards.min(workers), "{tag}: drain fan-out");
                 bit_identical(&tag, &reference, &trace);
             }

@@ -30,11 +30,11 @@ pub mod machine;
 pub mod memory;
 pub mod trace;
 
-pub use elzar_engine::{avx2_available, cpu_features, Backend, Engine, EngineKind};
+pub use elzar_engine::{Engine, EngineKind};
 pub use lower::{DGroup, LBlock, LFunc, LInst, LKind, LOp, LPhi, LTerm, Program, VMeta, NO_DST};
 pub use machine::{
     run_program, FaultPlan, Machine, MachineConfig, RecoveryPolicy, ReferenceEngine, RtVal, RunOutcome,
-    RunResult, TraceScalarEngine, TraceSimdEngine,
+    RunResult, TraceEngine,
 };
 pub use memory::{Memory, Trap, DEFAULT_MEM_SIZE, GLOBAL_BASE, HEAP_BASE, INPUT_BASE, STACK_SIZE};
 pub use trace::Trace;

@@ -21,8 +21,8 @@ use crate::memory::{Memory, Trap, DEFAULT_MEM_SIZE, INPUT_BASE};
 use crate::trace::{TOp, Trace};
 use elzar_avx::{majority_extended, majority_simple, LaneWidth, MajorityOutcome, Ymm};
 use elzar_cpu::{Core, Counters, InstClass, SharedL3};
-use elzar_engine::kernels::{self, KernelTable};
-use elzar_engine::{Backend, Engine, EngineKind};
+use elzar_engine::kernels::{BinKernel, BIN, UN};
+use elzar_engine::{Engine, EngineKind};
 use elzar_ir::{BinOp, Builtin, CastOp, CmpPred, RmwOp};
 use std::collections::VecDeque;
 
@@ -356,8 +356,7 @@ pub struct Machine<'p> {
     heartbeat_cycles: Vec<u64>,
     input_len: u64,
     phi_scratch: Vec<(u32, RtVal, u64)>,
-    backend: Backend,
-    kern: &'static KernelTable,
+    engine: EngineKind,
 }
 
 /// Run `entry` (a function taking no meaningful arguments) of `prog` over
@@ -373,7 +372,6 @@ pub fn run_program(prog: &Program, entry: &str, input: &[u8], cfg: MachineConfig
 
 impl<'p> Machine<'p> {
     fn new(prog: &'p Program, input: &[u8], cfg: MachineConfig) -> Machine<'p> {
-        let backend = cfg.engine.resolve();
         Machine {
             prog,
             cfg,
@@ -390,8 +388,7 @@ impl<'p> Machine<'p> {
             heartbeat_cycles: Vec::new(),
             input_len: input.len() as u64,
             phi_scratch: Vec::new(),
-            backend,
-            kern: kernels::table(backend == Backend::TraceSimd),
+            engine: cfg.engine.resolve(),
         }
     }
 
@@ -634,9 +631,9 @@ impl<'p> Machine<'p> {
     }
 
     fn step_quantum(&mut self, t: usize) -> Result<(), Trap> {
-        match self.backend {
-            Backend::Reference => self.step_quantum_ref(t),
-            Backend::TraceScalar | Backend::TraceSimd => self.step_quantum_trace_with(t, self.kern),
+        match self.engine {
+            EngineKind::Reference => self.step_quantum_ref(t),
+            EngineKind::Trace => self.step_quantum_trace(t),
         }
     }
 
@@ -656,11 +653,7 @@ impl<'p> Machine<'p> {
     /// fault-injection window. The quantum budget is shared between the
     /// two paths so the interleave with other threads is identical to
     /// the reference engine's.
-    pub(crate) fn step_quantum_trace_with(
-        &mut self,
-        t: usize,
-        kern: &'static KernelTable,
-    ) -> Result<(), Trap> {
+    pub(crate) fn step_quantum_trace(&mut self, t: usize) -> Result<(), Trap> {
         let prog = self.prog;
         let mut budget = self.cfg.quantum as usize;
         while budget > 0 {
@@ -674,7 +667,7 @@ impl<'p> Machine<'p> {
             if ip == 0 {
                 let tr = &prog.traces[func as usize][block as usize];
                 if !tr.ops.is_empty() && self.trace_window_safe(tr) {
-                    let used = self.exec_trace(t, tr, budget, kern)?;
+                    let used = self.exec_trace(t, tr, budget)?;
                     // `used == 0` means the first op is a fused pattern
                     // wider than the remaining budget: step through it
                     // per-instruction instead of spinning.
@@ -714,13 +707,7 @@ impl<'p> Machine<'p> {
     /// multi-step patterns that keep intermediates in registers while
     /// committing every intermediate slot exactly as the unfused
     /// sequence would.
-    fn exec_trace(
-        &mut self,
-        t: usize,
-        tr: &Trace,
-        budget: usize,
-        kern: &'static KernelTable,
-    ) -> Result<usize, Trap> {
+    fn exec_trace(&mut self, t: usize, tr: &Trace, budget: usize) -> Result<usize, Trap> {
         let Machine { threads, mem, l3, steps, eligible, corrections, phi_scratch, .. } = self;
         let ThreadCtx { frames, core, sp, stack_limit, .. } = &mut threads[t];
         let fr = frames.last_mut().expect("live thread has a frame");
@@ -898,7 +885,7 @@ impl<'p> Machine<'p> {
                     let (vb, rb) = read_op(fr, b);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra, rb]);
                     let (ya, yb) = (va.v(m), vb.v(m));
-                    let out = (kern.bin[*k as usize])(ya.limbs_ref(), yb.limbs_ref());
+                    let out = BIN[*k as usize](ya.limbs_ref(), yb.limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::VBinL { op, m, pc, dst, a, b } => {
@@ -917,7 +904,7 @@ impl<'p> Machine<'p> {
                     let (vb, rb) = read_op(fr, b);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra, rb]);
                     let (ya, yb) = (va.v(m), vb.v(m));
-                    let out = (kern.bin[*k as usize])(ya.limbs_ref(), yb.limbs_ref());
+                    let out = BIN[*k as usize](ya.limbs_ref(), yb.limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::VCmpL { pred, m, pc, dst, a, b } => {
@@ -953,7 +940,7 @@ impl<'p> Machine<'p> {
                 TOp::ShufRot { k, m, pc, dst, a } => {
                     let (va, ra) = read_op(fr, a);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra]);
-                    let out = (kern.un[*k as usize])(va.v(m).limbs_ref());
+                    let out = UN[*k as usize](va.v(m).limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::Shuf { m, pc, dst, a, mask } => {
@@ -1012,11 +999,11 @@ impl<'p> Machine<'p> {
                     let ya = fr.slots[*a as usize].v(m);
                     let ra = fr.ready[*a as usize];
                     let r1 = core.retire_precosted(pc_shuf.cost, pc_shuf.avx, &[ra]);
-                    let rot = (kern.un[*k as usize])(ya.limbs_ref());
+                    let rot = UN[*k as usize](ya.limbs_ref());
                     put!(*d_shuf, RtVal::V(Ymm::from_limbs(rot)), r1);
                     *steps += 1;
                     let r2 = core.retire_precosted(pc_xor.cost, pc_xor.avx, &[ra, r1]);
-                    let x = (kern.bin[kernels::BinKernel::Xor as usize])(ya.limbs_ref(), &rot);
+                    let x = BIN[BinKernel::Xor as usize](ya.limbs_ref(), &rot);
                     put!(*d_xor, RtVal::V(Ymm::from_limbs(x)), r2);
                     *steps += 1;
                     let r3 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r2]);
@@ -1046,7 +1033,7 @@ impl<'p> Machine<'p> {
                     let (va, ra) = read_op(fr, a);
                     let (vb, rb) = read_op(fr, b);
                     let r1 = core.retire_precosted(pc_cmp.cost, pc_cmp.avx, &[ra, rb]);
-                    let mask = (kern.bin[*k as usize])(va.v(m).limbs_ref(), vb.v(m).limbs_ref());
+                    let mask = BIN[*k as usize](va.v(m).limbs_ref(), vb.v(m).limbs_ref());
                     put!(*d_mask, RtVal::V(Ymm::from_limbs(mask)), r1);
                     *steps += 1;
                     let r2 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r1]);
@@ -1123,16 +1110,16 @@ impl<'p> Machine<'p> {
                     let (va, ra) = read_op(fr, a);
                     let (vb, rb) = read_op(fr, b);
                     let r1 = core.retire_precosted(pc1.cost, pc1.avx, &[ra, rb]);
-                    let out1 = (kern.bin[*k1 as usize])(va.v(m1).limbs_ref(), vb.v(m1).limbs_ref());
+                    let out1 = BIN[*k1 as usize](va.v(m1).limbs_ref(), vb.v(m1).limbs_ref());
                     put!(*d1, RtVal::V(Ymm::from_limbs(out1)), r1);
                     *steps += 1;
                     let (vo, ro) = read_op(fr, o);
                     let r2 = core.retire_precosted(pc2.cost, pc2.avx, &[r1, ro]);
                     let yo = vo.v(m2);
                     let out2 = if *swapped {
-                        (kern.bin[*k2 as usize])(yo.limbs_ref(), &out1)
+                        BIN[*k2 as usize](yo.limbs_ref(), &out1)
                     } else {
-                        (kern.bin[*k2 as usize])(&out1, yo.limbs_ref())
+                        BIN[*k2 as usize](&out1, yo.limbs_ref())
                     };
                     put!(*d2, RtVal::V(Ymm::from_limbs(out2)), r2);
                 }
@@ -1160,9 +1147,9 @@ impl<'p> Machine<'p> {
                     let r2 = core.retire_precosted(pc_b.cost, pc_b.avx, &[r1, ro]);
                     let yo = vo.v(bm);
                     let out = if *swapped {
-                        (kern.bin[*k as usize])(yo.limbs_ref(), y.limbs_ref())
+                        BIN[*k as usize](yo.limbs_ref(), y.limbs_ref())
                     } else {
-                        (kern.bin[*k as usize])(y.limbs_ref(), yo.limbs_ref())
+                        BIN[*k as usize](y.limbs_ref(), yo.limbs_ref())
                     };
                     put!(*d2, RtVal::V(Ymm::from_limbs(out)), r2);
                 }
@@ -1944,12 +1931,8 @@ impl<'p> Machine<'p> {
 /// [`Engine`] — the baseline every other engine must match bit-for-bit.
 pub struct ReferenceEngine;
 
-/// Trace execution pinned to the portable scalar kernel table.
-pub struct TraceScalarEngine;
-
-/// Trace execution using the AVX2 kernel table when the host has AVX2
-/// (bit-identical scalar fallback otherwise).
-pub struct TraceSimdEngine;
+/// Superblock trace execution, bit-identical to [`ReferenceEngine`].
+pub struct TraceEngine;
 
 impl<'p> Engine<Machine<'p>> for ReferenceEngine {
     type Error = Trap;
@@ -1963,27 +1946,15 @@ impl<'p> Engine<Machine<'p>> for ReferenceEngine {
     }
 }
 
-impl<'p> Engine<Machine<'p>> for TraceScalarEngine {
+impl<'p> Engine<Machine<'p>> for TraceEngine {
     type Error = Trap;
 
     fn kind(&self) -> EngineKind {
-        EngineKind::TraceScalar
+        EngineKind::Trace
     }
 
     fn step_quantum(&self, m: &mut Machine<'p>, thread: usize) -> Result<(), Trap> {
-        m.step_quantum_trace_with(thread, kernels::table(false))
-    }
-}
-
-impl<'p> Engine<Machine<'p>> for TraceSimdEngine {
-    type Error = Trap;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::TraceSimd
-    }
-
-    fn step_quantum(&self, m: &mut Machine<'p>, thread: usize) -> Result<(), Trap> {
-        m.step_quantum_trace_with(thread, kernels::table(elzar_engine::avx2_available()))
+        m.step_quantum_trace(thread)
     }
 }
 
@@ -2069,7 +2040,7 @@ fn sext(v: u64, bits: u8) -> i64 {
     }
 }
 
-fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
+pub(crate) fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
     use BinOp::*;
     if m.float {
         let r = if m.bits == 32 {
@@ -2160,7 +2131,7 @@ fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
     Ok(r & mask)
 }
 
-fn scalar_cmp(pred: CmpPred, m: &VMeta, a: u64, b: u64) -> bool {
+pub(crate) fn scalar_cmp(pred: CmpPred, m: &VMeta, a: u64, b: u64) -> bool {
     use CmpPred::*;
     if m.float {
         let (x, y) = if m.bits == 32 {
@@ -2717,11 +2688,10 @@ mod tests {
     fn engines_agree_bit_for_bit() {
         let m = engine_probe_module();
         let p = Program::lower(&m);
-        let runs: Vec<RunResult> =
-            [EngineKind::Reference, EngineKind::Trace, EngineKind::TraceScalar, EngineKind::TraceSimd]
-                .iter()
-                .map(|&engine| run_program(&p, "main", &[], MachineConfig { engine, ..Default::default() }))
-                .collect();
+        let runs: Vec<RunResult> = [EngineKind::Reference, EngineKind::Trace]
+            .iter()
+            .map(|&engine| run_program(&p, "main", &[], MachineConfig { engine, ..Default::default() }))
+            .collect();
         let base = &runs[0];
         assert_eq!(base.outcome, RunOutcome::Exited(3 * 199 * 200 / 2));
         for r in &runs[1..] {
@@ -2745,9 +2715,7 @@ mod tests {
             &[],
             MachineConfig { engine: EngineKind::Reference, ..Default::default() },
         );
-        for eng in
-            [&ReferenceEngine as &dyn Engine<Machine, Error = Trap>, &TraceScalarEngine, &TraceSimdEngine]
-        {
+        for eng in [&ReferenceEngine as &dyn Engine<Machine, Error = Trap>, &TraceEngine] {
             let mut mach = Machine::start(&p, "main", &[], MachineConfig::default());
             // Drive thread 0 manually through the trait; the probe is
             // single-threaded so this is the whole schedule.
@@ -2773,13 +2741,12 @@ mod tests {
         for index in [1, 7, 50, 301, 1203] {
             let fault = Some(FaultPlan { index, bit: 17 });
             let mut outcomes = vec![];
-            for engine in [EngineKind::Reference, EngineKind::TraceScalar, EngineKind::TraceSimd] {
+            for engine in [EngineKind::Reference, EngineKind::Trace] {
                 let cfg = MachineConfig { engine, fault, ..Default::default() };
                 let r = run_program(&p, "main", &[], cfg);
                 outcomes.push((r.outcome, r.output.clone(), r.cycles, r.steps, r.eligible));
             }
-            assert_eq!(outcomes[0], outcomes[1], "fault @{index}: reference vs trace-scalar");
-            assert_eq!(outcomes[0], outcomes[2], "fault @{index}: reference vs trace-simd");
+            assert_eq!(outcomes[0], outcomes[1], "fault @{index}: reference vs trace");
         }
     }
 }

@@ -830,8 +830,10 @@ fn compile(inst: &LInst) -> Option<TOp> {
 mod tests {
     use super::*;
     use crate::lower::Program;
+    use elzar_avx::Ymm;
     use elzar_ir::builder::{c64, FuncBuilder};
     use elzar_ir::{Builtin, Module, Ty};
+    use elzar_rng::DetRng;
 
     #[test]
     fn straight_line_code_forms_one_trace_ending_at_ret() {
@@ -911,5 +913,117 @@ mod tests {
         let f8 = VMeta::new(false, true, 32, LaneWidth::B32, 8);
         assert_eq!(bin_kernel(BinOp::FMul, &f8), Some(BinKernel::FMul32));
         assert_eq!(cmp_kernel(CmpPred::FOlt, &f8), Some(BinKernel::FOlt32));
+    }
+
+    /// Inputs for kernels of lane width `w`: splats and mixes of lane
+    /// specials (zero, all-ones, sign boundaries, shift amounts at and
+    /// past the lane width, the IEEE specials of the width's float type)
+    /// plus seeded random registers.
+    fn kernel_inputs(w: LaneWidth, rng: &mut DetRng) -> Vec<Ymm> {
+        let (b, n) = (u64::from(w.bits()), w.capacity());
+        let sign = 1u64 << (b - 1);
+        let mut lanes = vec![0, 1, w.ones(), sign, sign - 1, b - 1, b, b + 1, 2 * b + 1];
+        match w {
+            LaneWidth::B32 => lanes.extend(
+                [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE, 1.5, -2.25]
+                    .map(|x| u64::from(x.to_bits())),
+            ),
+            LaneWidth::B64 => lanes.extend(
+                [0.0f64, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 1.5, -2.25]
+                    .map(f64::to_bits),
+            ),
+            LaneWidth::B8 | LaneWidth::B16 => {}
+        }
+        let mut regs: Vec<Ymm> = lanes.iter().map(|&v| Ymm::splat(w, n, v)).collect();
+        for offset in [0, 3] {
+            let mut y = Ymm::ZERO;
+            for i in 0..n {
+                y.set_lane(w, i, lanes[(i + offset) % lanes.len()]);
+            }
+            regs.push(y);
+        }
+        regs.extend((0..12).map(|_| Ymm::from_limbs([0; 4].map(|_: u64| rng.next_u64()))));
+        regs
+    }
+
+    fn is_nan(m: &VMeta, x: u64) -> bool {
+        if m.bits == 32 {
+            f32::from_bits(x as u32).is_nan()
+        } else {
+            f64::from_bits(x).is_nan()
+        }
+    }
+
+    #[test]
+    fn every_kernel_matches_the_interpreter_lane_path() {
+        use crate::machine::{scalar_bin, scalar_cmp};
+        use elzar_engine::kernels::{BIN, UN};
+        use BinOp as B;
+        use CmpPred as P;
+        #[rustfmt::skip]
+        let ops = [
+            B::Add, B::Sub, B::Mul, B::UDiv, B::SDiv, B::URem, B::SRem, B::And, B::Or, B::Xor, B::Shl, B::LShr,
+            B::AShr, B::FAdd, B::FSub, B::FMul, B::FDiv, B::UMin, B::UMax, B::SMin, B::SMax, B::FMin, B::FMax,
+        ];
+        #[rustfmt::skip]
+        let preds = [
+            P::Eq, P::Ne, P::Ult, P::Ule, P::Ugt, P::Uge, P::Slt, P::Sle, P::Sgt, P::Sge,
+            P::FOeq, P::FOne, P::FOlt, P::FOle, P::FOgt, P::FOge,
+        ];
+        let (mut bin_hit, mut un_hit) = ([false; BinKernel::COUNT], [false; UnKernel::COUNT]);
+        let mut rng = DetRng::seed_from_u64(0x7E57);
+        for w in [LaneWidth::B8, LaneWidth::B16, LaneWidth::B32, LaneWidth::B64] {
+            let n = w.capacity();
+            let regs = kernel_inputs(w, &mut rng);
+            let pairs = || regs.iter().flat_map(|a| regs.iter().map(move |b| (a, b)));
+            for float in [false, true] {
+                let m = VMeta::new(false, float, w.bits() as u8, w, n as u8);
+                for op in ops {
+                    let Some(k) = bin_kernel(op, &m) else { continue };
+                    bin_hit[k as usize] = true;
+                    for (a, b) in pairs() {
+                        let mut got = Ymm::from_limbs(BIN[k as usize](a.limbs_ref(), b.limbs_ref()));
+                        let mut want = Ymm::ZERO;
+                        for i in 0..n {
+                            let lane = scalar_bin(op, &m, a.lane(w, i), b.lane(w, i));
+                            want.set_lane(w, i, lane.expect("kernel ops never trap"));
+                            // Rust leaves the payload of a NaN computed
+                            // from two NaN operands unspecified: such
+                            // lanes compare only as "is NaN".
+                            if float && [a, b, &got, &want].iter().all(|y| is_nan(&m, y.lane(w, i))) {
+                                got.set_lane(w, i, w.ones());
+                                want.set_lane(w, i, w.ones());
+                            }
+                        }
+                        assert_eq!(got, want, "{k:?} for {op:?}/{w:?}/float={float} on {a} {b}");
+                    }
+                }
+                for pred in preds {
+                    let Some(k) = cmp_kernel(pred, &m) else { continue };
+                    bin_hit[k as usize] = true;
+                    for (a, b) in pairs() {
+                        let want = a.cmp_mask(b, w, n, |x, y| scalar_cmp(pred, &m, x, y));
+                        let got = Ymm::from_limbs(BIN[k as usize](a.limbs_ref(), b.limbs_ref()));
+                        assert_eq!(got, want, "{k:?} for {pred:?}/{w:?}/float={float} on {a} {b}");
+                    }
+                }
+            }
+            // The reference `Shuffle` handler with the Figure-8 mask.
+            let mask: Vec<u8> = (0..n).map(|i| ((i + 1) % n) as u8).collect();
+            let k = rot_mask(&mask, &VMeta::new(false, false, w.bits() as u8, w, n as u8))
+                .expect("rotate kernel");
+            un_hit[k as usize] = true;
+            for a in &regs {
+                assert_eq!(
+                    Ymm::from_limbs(UN[k as usize](a.limbs_ref())),
+                    a.shuffle(w, &mask),
+                    "{k:?} on {a}"
+                );
+            }
+        }
+        let dead: Vec<_> = BinKernel::ALL.into_iter().filter(|&k| !bin_hit[k as usize]).collect();
+        assert!(dead.is_empty(), "no selector reaches {dead:?}");
+        let dead: Vec<_> = UnKernel::ALL.into_iter().filter(|&k| !un_hit[k as usize]).collect();
+        assert!(dead.is_empty(), "no selector reaches {dead:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! Execution-engine shoot-out: the same hardened artifact run by the
-//! reference interpreter and by the superblock trace engine (scalar and
-//! AVX2 kernel tables), side by side.
+//! reference interpreter and by the superblock trace engine, side by
+//! side.
 //!
 //! Two things are demonstrated at once:
 //!
@@ -21,7 +21,7 @@ use elzar_suite::elzar::{Artifact, Mode};
 use elzar_suite::elzar_fault::{CampaignConfig, Outcome};
 use elzar_suite::elzar_ir::builder::{c64, FuncBuilder};
 use elzar_suite::elzar_ir::{BinOp, Builtin, Module, Ty};
-use elzar_suite::elzar_vm::{cpu_features, EngineKind, MachineConfig};
+use elzar_suite::elzar_vm::{EngineKind, MachineConfig};
 use std::time::Instant;
 
 fn kernel(iters: i64) -> Module {
@@ -57,12 +57,10 @@ fn rate(artifact: &Artifact, engine: EngineKind) -> f64 {
 }
 
 fn main() {
-    let engines = [EngineKind::Reference, EngineKind::TraceScalar, EngineKind::TraceSimd];
+    let engines = [EngineKind::Reference, EngineKind::Trace];
     let native = Artifact::build(&kernel(20_000), &Mode::NativeNoSimd);
     let elzar = Artifact::build(&kernel(20_000), &Mode::elzar_default());
 
-    println!("host features: {}", cpu_features().join(", "));
-    println!();
     println!(
         "{:<14} {:>16} {:>16} {:>14} {:>14}",
         "engine", "native steps/s", "elzar steps/s", "sim cycles", "sim steps"
@@ -108,17 +106,15 @@ fn main() {
         )
     };
     let base = campaign(EngineKind::Reference);
-    for engine in [EngineKind::TraceScalar, EngineKind::TraceSimd] {
-        let r = campaign(engine);
-        assert_eq!(r.counts, base.counts, "{engine:?}: campaign outcomes diverged");
-        assert!(r.rate(Outcome::ElzarCorrected) > 0.0, "{engine:?}: the Figure-8 check never fired");
-    }
+    let r = campaign(EngineKind::Trace);
+    assert_eq!(r.counts, base.counts, "trace: campaign outcomes diverged");
+    assert!(r.rate(Outcome::ElzarCorrected) > 0.0, "trace: the Figure-8 check never fired");
     println!(
         "figure-8 check live under trace engine: {:.1}% of {} injected \
          faults corrected, outcome counts bit-identical to reference",
         base.rate(Outcome::ElzarCorrected) * 100.0,
         120
     );
-    let trace_rate = rate(&elzar, EngineKind::TraceSimd);
-    println!("hardened-mode speedup (trace-simd vs reference): {:.2}x", trace_rate / ref_elzar_rate);
+    let trace_rate = rate(&elzar, EngineKind::Trace);
+    println!("hardened-mode speedup (trace vs reference): {:.2}x", trace_rate / ref_elzar_rate);
 }

@@ -1,12 +1,15 @@
 //! Engine differential suite: every execution engine must be an exact
 //! drop-in for the reference interpreter.
 //!
-//! The trace engine (scalar and SIMD kernel tables alike) replays the
-//! reference retire sequence with pre-resolved costs, so *everything*
-//! observable — outcomes, output bytes, cycle counts, perf counters,
-//! eligible-instruction totals, heartbeat timestamps, fault-campaign
-//! classifications, serving-pipeline digests — must be bit-identical.
-//! These tests pin that equivalence over the full benchmark matrix.
+//! The trace engine replays the reference retire sequence with
+//! pre-resolved costs, fused check idioms and whole-register kernels, so
+//! *everything* observable — outcomes, output bytes, cycle counts, perf
+//! counters, eligible-instruction totals, heartbeat timestamps,
+//! fault-campaign classifications, serving-pipeline digests — must be
+//! bit-identical. These tests pin that equivalence over the full
+//! benchmark matrix, with `Reference` as the oracle. CI also runs the
+//! suite under `ELZAR_ENGINE=reference` and `ELZAR_ENGINE=trace`, which
+//! pins both sides to one engine and checks the override path itself.
 
 use elzar_suite::elzar::{Artifact, Mode};
 use elzar_suite::elzar_apps::{App, AppParams, YcsbWorkload};
@@ -16,7 +19,7 @@ use elzar_suite::elzar_vm::{EngineKind, MachineConfig, RunResult};
 use elzar_suite::elzar_workloads::{all_workloads, by_name, Scale};
 
 /// Engines measured against the `Reference` baseline.
-const ENGINES: [EngineKind; 3] = [EngineKind::Trace, EngineKind::TraceScalar, EngineKind::TraceSimd];
+const ENGINES: [EngineKind; 1] = [EngineKind::Trace];
 
 fn cfg(engine: EngineKind) -> MachineConfig {
     MachineConfig { step_limit: 5_000_000_000, threads: 2, engine, ..MachineConfig::default() }
